@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation or numeric failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import HyperdecideError
 from .nonlinearity import tanh_family
 from .hypergraph import (
-    build,
     from_text,
     load,
     parse_arrays,
@@ -53,10 +53,20 @@ _DEFAULTS = {
     "normal-form": {},
 }
 
+
+def _finite_float(text: str) -> float:
+    """float() for flags and config values, refusing inf and nan."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got '{text}'")
+    return value
+
+
 _TYPES = {
     "n": int, "seed": int, "workers": int, "svg_coord": int,
-    "p2": float, "p3": float, "alpha": float, "pi": float, "dt": float,
-    "t_max": float, "pi_min": float, "pi_max": float, "pi_step": float,
+    "p2": _finite_float, "p3": _finite_float, "alpha": _finite_float,
+    "pi": _finite_float, "dt": _finite_float, "t_max": _finite_float,
+    "pi_min": _finite_float, "pi_max": _finite_float, "pi_step": _finite_float,
     "x0": str, "out": str, "svg": str,
 }
 
@@ -76,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="draw a random connected instance")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p2", type=float, default=None, help="pairwise edge probability")
-    p.add_argument("--p3", type=float, default=None, help="triple probability")
-    p.add_argument("--alpha", type=float, default=None, help="2-interaction ratio")
+    p.add_argument("--p2", type=_finite_float, default=None, help="pairwise edge probability")
+    p.add_argument("--p3", type=_finite_float, default=None, help="triple probability")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="2-interaction ratio")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     common(p)
@@ -93,25 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate one trajectory to a CSV file")
     p.add_argument("file")
-    p.add_argument("--pi", type=float, default=None, help="effort level (required)")
+    p.add_argument("--pi", type=_finite_float, default=None, help="effort level (required)")
     p.add_argument("--x0", default=None,
                    help="zeros | consensus:C | random:SEED[:NORM] | list:v1,v2,...")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=None, dest="t_max")
+    p.add_argument("--dt", type=_finite_float, default=None)
+    p.add_argument("--t-max", type=_finite_float, default=None, dest="t_max")
     p.add_argument("--out", default=None)
     common(p)
 
     p = sub.add_parser("equilibria", help="global equilibrium search at one effort level")
     p.add_argument("file")
-    p.add_argument("--pi", type=float, default=None, help="effort level (required)")
+    p.add_argument("--pi", type=_finite_float, default=None, help="effort level (required)")
     p.add_argument("--out", default=None)
     common(p)
 
     p = sub.add_parser("sweep", help="effort sweep to a branch diagram CSV")
     p.add_argument("file")
-    p.add_argument("--pi-min", type=float, default=None, dest="pi_min")
-    p.add_argument("--pi-max", type=float, default=None, dest="pi_max")
-    p.add_argument("--pi-step", type=float, default=None, dest="pi_step")
+    p.add_argument("--pi-min", type=_finite_float, default=None, dest="pi_min")
+    p.add_argument("--pi-max", type=_finite_float, default=None, dest="pi_max")
+    p.add_argument("--pi-step", type=_finite_float, default=None, dest="pi_step")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--svg", default=None, help="also write an SVG scatter here")
@@ -144,7 +154,7 @@ def _read_config(path, defaults, parser):
             parser.error(f"config line {lineno}: unknown key '{key}'")
         try:
             out[key] = _TYPES[key](value.strip())
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             parser.error(f"config line {lineno}: bad value for '{key}'")
     return out
 
@@ -331,13 +341,7 @@ def main(argv=None) -> int:
     _write_manifest(out_dir, args.command, resolved, extra)
     try:
         return _HANDLERS[args.command](resolved, out_dir, parser, args)
-    except HyperdecideError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (HyperdecideError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

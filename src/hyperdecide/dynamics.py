@@ -78,7 +78,7 @@ def jacobian(s: SystemInstance, x) -> np.ndarray:
     dp = s.psi.deriv(x)
     pair_rows = s.graph.b @ p  # row i: agent i's 2-interaction mass against p
     j = s.pi * (s.graph.a2 + 2.0 * pair_rows) * dp[None, :]
-    j[np.diag_indices_from(j)] -= s.graph.degrees
+    j.flat[::s.graph.n + 1] -= s.graph.degrees
     return j
 
 

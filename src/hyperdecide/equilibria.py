@@ -5,9 +5,9 @@ state c*ones is stationary exactly when the scalar balance
 
     gap(c) = -(1 + alpha) c + pi (psi(c) + alpha psi(c)^2)
 
-vanishes. Positive roots of the gap are bracketed on a log-dense grid and
-bisected; the fold level (smallest effort at which a positive root pair
-exists) comes from the tangency condition on the same scalar function.
+vanishes. For c > 0 the gap is h(c) (pi - F(c)), F(c) = (1 + alpha) c / h(c),
+h = psi + alpha psi^2. F has a single minimum, the fold level (least effort
+with a positive root pair); each side of its minimizer holds at most one root.
 General equilibria are found by damped Newton from a deterministic seed set
 and classified by the spectrum of the Jacobian.
 """
@@ -46,6 +46,7 @@ _STEP_FLOOR = 1e-9
 _STABLE_TOL = 1e-8
 _CONSENSUS_TOL = 1e-8
 _DEDUP_TOL = 1e-6
+_ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 
 
@@ -109,32 +110,23 @@ def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200):
 
 
 def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> list[float]:
-    """Strictly positive roots of the consensus balance on (0, 50].
+    """Strictly positive roots of the consensus balance on [1e-8, 50].
 
-    Sign changes are bracketed on a log-dense grid and refined by bisection
-    to 1e-12. Returns 0, 1 or 2 roots; a tangency squeezed between grid
-    nodes reports none. Negative roots are never searched here: for
-    alpha > 0 the balance is not odd, and the negative side is reached by
-    Newton runs from negative seeds instead.
+    The fold state of ``pi1_star`` splits the range into two pieces on which
+    F is monotone, and a sign change on either piece is bisected to 1e-12.
+    Returns 0, 1 or 2 roots in ascending order. Negative roots are never
+    searched here: for alpha > 0 the balance is not odd, and the negative
+    side is reached by Newton runs from negative seeds instead.
     """
     psi = psi or tanh_family()
-    grid = np.geomspace(1e-8, _ROOT_EPS_MAX, 4096)
-    vals = np.asarray(consensus_gap(r, grid, psi), dtype=float)
-    roots = []
+    split = max(pi1_star(r.alpha, psi)[1], _ROOT_EPS_MIN)
     fn = lambda e: float(consensus_gap(r, e, psi))
-    for i in range(grid.size - 1):
-        a, b = float(vals[i]), float(vals[i + 1])
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(_bisect(fn, float(grid[i]), float(grid[i + 1]), a))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    out = []
-    for root in roots:
-        if not any(abs(root - r0) < 1e-10 for r0 in out):
-            out.append(root)
-    return out
+    roots = []
+    for lo, hi in ((_ROOT_EPS_MIN, split), (split, _ROOT_EPS_MAX)):
+        flo = fn(lo)
+        if flo * fn(hi) < 0.0:
+            roots.append(_bisect(fn, lo, hi, flo))
+    return roots
 
 
 def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, float]:
@@ -143,7 +135,9 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     For alpha = 0 the fold degenerates into the origin crossing: (1, 0).
     Otherwise the tangency state solves h(e)/e = h'(e) with
     h(e) = psi(e) + alpha psi(e)^2, found by bisection to 1e-12, and the
-    fold level is (1 + alpha) e / h(e). Always lands in [1, 1 + alpha].
+    fold level is (1 + alpha) e / h(e); a tangency state below 1e-8 is
+    reported at 1e-8. Always lands in [1, 1 + alpha]. Raises ValueError
+    when no tangency state lies in [1e-8, 50], the range of consensus_roots.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
@@ -163,18 +157,16 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     def tangency(e):
         return h(e) - e * h_prime(e)
 
-    lo = 1e-8
+    lo = _ROOT_EPS_MIN
     flo = tangency(lo)
     if flo >= 0.0:
-        raise ValueError("tangency bracket failed near the origin")
-    hi = 1.0
-    for _ in range(80):
-        if tangency(hi) > 0.0:
-            break
-        hi *= 2.0
+        # alpha below about 1e-8: the tangency state (about 1.5 alpha) lies
+        # under lo, where rounding hides the sign of the tangency condition
+        eps_star = lo
+    elif tangency(_ROOT_EPS_MAX) <= 0.0:
+        raise ValueError("no tangency state on [1e-8, 50]")
     else:
-        raise ValueError("tangency bracket failed at large states")
-    eps_star = _bisect(tangency, lo, hi, flo)
+        eps_star = _bisect(tangency, lo, _ROOT_EPS_MAX, flo)
     level = (1.0 + alpha) * eps_star / h(eps_star)
     return float(level), float(eps_star)
 

@@ -118,8 +118,14 @@ def _as_slices(b, n) -> np.ndarray:
     return b
 
 
-def _run_checks(a2: np.ndarray, b: np.ndarray):
-    """Yield (name, error_or_None, detail) for every structural requirement."""
+def _row_masses(a2: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-agent pairwise and 2-interaction weight totals."""
+    return a2.sum(axis=1), b.sum(axis=(1, 2))
+
+
+def _run_checks(a2: np.ndarray, b: np.ndarray, deg: np.ndarray):
+    """Yield (name, error_or_None, detail) for every structural requirement,
+    given the generalized degrees ``deg``."""
     n = a2.shape[0]
 
     bad = np.argwhere(a2 != a2.T)
@@ -188,7 +194,6 @@ def _run_checks(a2: np.ndarray, b: np.ndarray):
     else:
         yield ("2-interaction nonnegativity", None, "")
 
-    deg = a2.sum(axis=1) + b.sum(axis=(1, 2))
     zero = np.flatnonzero(deg <= 0.0)
     if zero.size:
         i = int(zero[0])
@@ -202,8 +207,9 @@ def validation_report(a2, b) -> list[CheckResult]:
     """Run every structural check and report instead of raising."""
     a2 = _as_square(a2)
     b = _as_slices(b, a2.shape[0])
+    pair_mass, tri_mass = _row_masses(a2, b)
     out = []
-    for name, err, detail in _run_checks(a2, b):
+    for name, err, detail in _run_checks(a2, b, pair_mass + tri_mass):
         out.append(CheckResult(name, err is None, detail if err else ""))
     return out
 
@@ -212,16 +218,15 @@ def compute_degrees(a2, b) -> np.ndarray:
     """Generalized degrees: pairwise row sums plus full 2-interaction mass."""
     a2 = _as_square(a2)
     b = _as_slices(b, a2.shape[0])
-    deg = a2.sum(axis=1) + b.sum(axis=(1, 2))
+    pair_mass, tri_mass = _row_masses(a2, b)
+    deg = pair_mass + tri_mass
     zero = np.flatnonzero(deg <= 0.0)
     if zero.size:
         raise ZeroDegreeError(f"agent {int(zero[0])} has generalized degree 0")
     return deg
 
 
-def _detect_alpha(a2: np.ndarray, b: np.ndarray) -> Optional[float]:
-    pair_mass = a2.sum(axis=1)
-    tri_mass = b.sum(axis=(1, 2))
+def _detect_alpha(pair_mass: np.ndarray, tri_mass: np.ndarray) -> Optional[float]:
     ratios = tri_mass / pair_mass
     spread = float(ratios.max() - ratios.min())
     if spread <= _ALPHA_RTOL * max(1.0, float(np.abs(ratios).max())):
@@ -238,11 +243,12 @@ def build(a2, b) -> Hypergraph2:
     """
     a2 = _as_square(a2).copy()
     b = _as_slices(b, a2.shape[0]).copy()
-    for _, err, _ in _run_checks(a2, b):
+    pair_mass, tri_mass = _row_masses(a2, b)
+    deg = pair_mass + tri_mass
+    for _, err, _ in _run_checks(a2, b, deg):
         if err is not None:
             raise err
-    deg = a2.sum(axis=1) + b.sum(axis=(1, 2))
-    alpha = _detect_alpha(a2, b)
+    alpha = _detect_alpha(pair_mass, tri_mass)
     for arr in (a2, b, deg):
         arr.setflags(write=False)
     return Hypergraph2(a2=a2, b=b, degrees=deg, alpha=alpha)

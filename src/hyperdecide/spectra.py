@@ -81,12 +81,10 @@ def symmetric_eigenvalues(m) -> Spectrum:
 
 
 def general_eigenvalues(m) -> Spectrum:
-    """Spectrum of a general square matrix of order at most 200."""
+    """Spectrum of a general square matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > 200:
-        raise DimensionError("general eigensolve is limited to n <= 200")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
@@ -96,9 +94,18 @@ def general_eigenvalues(m) -> Spectrum:
     return Spectrum(values=vals, real_flag=bool(np.abs(vals.imag).max() < 1e-9))
 
 
-def _normalized_symmetric(g: Hypergraph2) -> np.ndarray:
+def _normalized_eigh(g: Hypergraph2):
+    """Ascending eigenpairs of D^{-1/2} A D^{-1/2}, whose leading eigenvalue
+    must be simple (gap at least 1e-9)."""
     root = np.sqrt(g.degrees)
-    return g.a2 / np.outer(root, root)
+    try:
+        vals, vecs = np.linalg.eigh(g.a2 / np.outer(root, root))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
+    gap = float(vals[-1] - vals[-2])
+    if gap < _GAP_TOL:
+        raise MultiplicityError(f"leading eigenvalue is not simple: gap {gap:.3e}")
+    return vals, vecs
 
 
 def perron_pair(g: Hypergraph2):
@@ -108,15 +115,8 @@ def perron_pair(g: Hypergraph2):
     Raises MultiplicityError when the top of the spectrum is closer than
     1e-9, and ConvergenceError when the eigenpair residual is out of bounds.
     """
-    s = _normalized_symmetric(g)
-    try:
-        vals, vecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
+    vals, vecs = _normalized_eigh(g)
     lam = float(vals[-1])
-    if lam - float(vals[-2]) < _GAP_TOL:
-        raise MultiplicityError(
-            f"leading eigenvalue is not simple: gap {lam - float(vals[-2]):.3e}")
     u = vecs[:, -1]
     if u.sum() < 0.0:
         u = -u
@@ -142,12 +142,8 @@ def h_matrix(g: Hypergraph2) -> np.ndarray:
 
 def thresholds(g: Hypergraph2) -> Thresholds:
     """Effort thresholds of an instance (fold level left unfilled)."""
-    spec = symmetric_eigenvalues(_normalized_symmetric(g))
-    vals = spec.reals
+    vals, _ = _normalized_eigh(g)
     lam_top, lam_next = float(vals[-1]), float(vals[-2])
-    if lam_top - lam_next < _GAP_TOL:
-        raise MultiplicityError(
-            f"leading eigenvalue is not simple: gap {lam_top - lam_next:.3e}")
     pi1 = 1.0 / lam_top
     pi2 = 1.0 / lam_next if lam_next > 0.0 else float("inf")
     h = h_matrix(g)

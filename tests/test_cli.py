@@ -179,6 +179,28 @@ def test_sweep_reruns_byte_identical(inst_file, tmp_path):
         (b / "sweep.manifest").read_text().replace(str(b), "X")
 
 
+@pytest.mark.parametrize("args", [
+    ["equilibria", "--pi", "inf"],
+    ["simulate", "--pi", "nan"],
+    ["simulate", "--pi", "1.7", "--t-max", "inf"],
+    ["simulate", "--pi", "1.7", "--dt", "nan"],
+    ["sweep", "--pi-step", "nan"],
+    ["simulate", "--config", "pi=inf"],
+])
+def test_non_finite_floats_are_usage_errors(args, inst_file, tmp_path, capsys):
+    command, *flags = args
+    if "--config" in flags:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(flags[-1] + "\n")
+        flags[-1] = str(cfg)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([command, inst_file, *flags, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / f"{command}.manifest").exists()
+
+
 def test_config_file_supplies_defaults(inst_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pi=1.7\nout=from_cfg.csv\n# comment line\n")

@@ -7,6 +7,7 @@ scipy.optimize.brentq as a second opinion.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import hyperdecide as hd
@@ -161,6 +162,46 @@ def test_roots_empty_below_fold_and_pair_above():
         above = consensus_roots(ScalarReduced(alpha=alpha, pi=level + 1e-3))
         assert below == []
         assert len(above) == 2
+
+
+def test_consensus_roots_none_on_pitchfork_at_unit_effort():
+    # at alpha = 0 the balance tanh(c) - c is below zero for every c > 0,
+    # even where it rounds to exactly zero near the origin
+    assert consensus_roots(ScalarReduced(alpha=0.0, pi=1.0)) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(alpha=st.floats(0.0, 10.0),
+       pi=st.floats(0.0, 5.0, exclude_min=True))
+def test_consensus_roots_match_scan_and_brentq(alpha, pi):
+    roots = consensus_roots(ScalarReduced(alpha=alpha, pi=pi))
+    assert len(roots) <= 2
+    assert roots == sorted(roots)
+
+    def gap(e):
+        t = np.tanh(e)
+        return -(1.0 + alpha) * e + pi * (t + alpha * t * t)
+
+    eps = np.geomspace(1e-8, 50.0, 20001)
+    vals = gap(eps)
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        ref = brentq(gap, eps[i], eps[i + 1], xtol=1e-14)
+        assert min(abs(ref - r) for r in roots) < 1e-10, (ref, roots)
+    for r in roots:
+        assert abs(gap(r)) < 1e-9
+
+
+def test_consensus_balance_ratio_unimodal_for_tanh():
+    # F(c) = (1 + alpha) c / h(c) falls to one minimum, at the fold state of
+    # pi1_star, and rises after it: the fact consensus_roots relies on
+    c = np.linspace(1e-3, 50.0, 50000)
+    t = np.tanh(c)
+    for alpha in np.linspace(0.0, 10.0, 41):
+        f = (1.0 + alpha) * c / (t + alpha * t * t)
+        k = int(np.argmin(f))
+        d = np.diff(f)
+        assert np.all(d[:k] < 0.0) and np.all(d[k:] > 0.0), alpha
+        assert abs(c[k] - max(pi1_star(alpha)[1], c[0])) <= c[1] - c[0]
 
 
 def test_newton_origin_classification_flips(inst5, tanh):

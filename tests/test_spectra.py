@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import hyperdecide as hd
-from hyperdecide.errors import DimensionError, MultiplicityError, NotSymmetricError
+from hyperdecide.dynamics import SystemInstance
+from hyperdecide.equilibria import classify
+from hyperdecide.errors import MultiplicityError, NotSymmetricError
 from hyperdecide.spectra import (
     general_eigenvalues,
     h_matrix,
@@ -48,9 +50,10 @@ def test_general_eigenvalues_complex_pair():
     assert np.abs(np.sort(spec.values.imag) - np.array([-1.0, 1.0])).max() < 1e-12
 
 
-def test_general_eigenvalues_size_cap():
-    with pytest.raises(DimensionError):
-        general_eigenvalues(np.eye(201))
+def test_classify_above_two_hundred_agents():
+    g = hd.random_instance(201, 0.05, 0.005, 1.0, 3)
+    eq = classify(SystemInstance(graph=g, psi=hd.tanh_family(), pi=0.5), np.zeros(201))
+    assert eq.classification == "stable"
 
 
 def test_eigh_vs_eigvals_cross_check():
