@@ -9,6 +9,7 @@ equilibria, and sweeps the effort level into branch diagrams.
 from .errors import (
     HyperdecideError,
     DimensionError,
+    NonFiniteWeightError,
     AsymmetryError,
     SelfLoopError,
     NegativeWeightError,

@@ -12,13 +12,15 @@ changes. A branch that simply stops before the end of the grid records
 its termination by its last point.
 
 Per-level searches are independent; ``workers > 1`` runs them in a
-process pool (the sigmoid family must then be picklable, which the
-module-level tanh family is). Threading is a sequential deterministic
-pass, so worker count never changes the result.
+process pool of at most one process per CPU and per level (the sigmoid
+family must then be picklable, which the module-level tanh family is).
+Threading is a sequential deterministic pass, so worker count never
+changes the result.
 """
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -112,6 +114,9 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
         raise ValueError("grid must be strictly increasing and positive")
     spec = seeds or SeedSpec()
 
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    workers = min(workers, os.cpu_count() or 1, grid.size)
     jobs = [(g, psi, float(pi), spec) for pi in grid]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

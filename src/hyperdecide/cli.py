@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: generate, validate, thresholds, simulate, equilibria, sweep,
-normal-form. Every run writes a manifest file (sorted key=value lines of
-the fully resolved configuration) into the output directory, and all CSV
-output is deterministic for a fixed manifest, byte for byte.
+normal-form. A run that succeeds ends by writing a manifest (sorted key=value
+lines of the fully resolved configuration) into the output directory, and all
+CSV output is deterministic for a fixed manifest, byte for byte.
 
 Configuration precedence: explicit flags, then --config file entries,
 then built-in defaults. The output directory comes from --out-dir, the
@@ -188,10 +188,10 @@ def _write_manifest(out_dir, command, resolved, extra):
 
 def _parse_x0(spec: str, n: int) -> np.ndarray:
     if spec == "zeros":
-        return np.zeros(n)
-    if spec.startswith("consensus:"):
-        return float(spec.split(":", 1)[1]) * np.ones(n)
-    if spec.startswith("random:"):
+        x = np.zeros(n)
+    elif spec.startswith("consensus:"):
+        x = float(spec.split(":", 1)[1]) * np.ones(n)
+    elif spec.startswith("random:"):
         parts = spec.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad start spec '{spec}'")
@@ -199,13 +199,16 @@ def _parse_x0(spec: str, n: int) -> np.ndarray:
         x = rng.uniform(-1.0, 1.0, n)
         norm = float(parts[2]) if len(parts) == 3 else 1.0
         peak = np.abs(x).max()
-        return x * (norm / peak) if peak > 0 else x
-    if spec.startswith("list:"):
-        vals = [float(v) for v in spec[len("list:"):].split(",")]
-        if len(vals) != n:
-            raise ValueError(f"start vector has {len(vals)} entries, instance has {n}")
-        return np.array(vals)
-    raise ValueError(f"bad start spec '{spec}'")
+        x = x * (norm / peak) if peak > 0 else x
+    elif spec.startswith("list:"):
+        x = np.array([float(v) for v in spec[len("list:"):].split(",")])
+        if x.size != n:
+            raise ValueError(f"start vector has {x.size} entries, instance has {n}")
+    else:
+        raise ValueError(f"bad start spec '{spec}'")
+    if not np.isfinite(x).all():
+        raise ValueError(f"start spec '{spec}' has non-finite entries")
+    return x
 
 
 def _out_path(out_dir, name) -> str:
@@ -295,6 +298,8 @@ def _cmd_sweep(resolved, out_dir, parser, args):
         parser.error(str(exc))
     if grid.size == 0:
         parser.error("empty grid")
+    if resolved["workers"] < 1:
+        parser.error("workers must be at least 1")
     result = sweep(g, tanh_family(), grid, workers=resolved["workers"])
     path = _out_path(out_dir, resolved["out"])
     write_diagram_csv(result, path)
@@ -338,12 +343,14 @@ def main(argv=None) -> int:
     extra = {"out_dir": out_dir}
     if hasattr(args, "file"):
         extra["file"] = args.file
-    _write_manifest(out_dir, args.command, resolved, extra)
     try:
-        return _HANDLERS[args.command](resolved, out_dir, parser, args)
+        code = _HANDLERS[args.command](resolved, out_dir, parser, args)
     except (HyperdecideError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if code == 0:
+        _write_manifest(out_dir, args.command, resolved, extra)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 Agent i relaxes toward the effort-weighted influence it receives: pairwise
 terms push with the transmitted states of its neighbors, 2-interaction terms
-with products of transmitted states over its weighted pairs. The integrator
-is the classical 4th-order Runge-Kutta scheme with a fixed step; runs stop
-early once the field residual drops below tolerance, and abort if any
-component passes 1e6 in magnitude.
+with products of transmitted states over its weighted pairs. Field and
+Jacobian take one state (n,) or a stack of states (m, n), row by row. The
+integrator runs one state by classical 4th-order Runge-Kutta with a fixed
+step; runs stop early once the field residual drops below tolerance, and
+abort if any component passes 1e6 in magnitude or turns NaN.
 """
 from __future__ import annotations
 
@@ -57,28 +58,47 @@ class Trajectory:
 
 def _check_state(s: SystemInstance, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.graph.n,):
-        raise DimensionError(f"state must have shape ({s.graph.n},), got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != s.graph.n:
+        raise DimensionError(
+            f"state must have shape ({s.graph.n},) or (m, {s.graph.n}), got {x.shape}")
     return x
 
 
+def _one_state(s: SystemInstance, x) -> np.ndarray:
+    x = _check_state(s, x)
+    if x.ndim != 1:
+        raise DimensionError(f"expected one state of shape ({s.graph.n},), got {x.shape}")
+    return x
+
+
+def _matvec(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a @ p for one state p (n,), or row by row for a stack (m, n) so that no
+    row's last bits depend on the stack height, as with a matrix product."""
+    return a @ p if p.ndim == 1 else (a @ p[..., None])[..., 0]
+
+
+def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
+    """b @ p, (n, n) or (m, n, n): row i is agent i's 2-interaction mass against p."""
+    return g.b @ p if p.ndim == 1 else (g.b @ p[:, None, :, None])[..., 0]
+
+
 def vector_field(s: SystemInstance, x) -> np.ndarray:
-    """Time derivative of the state."""
+    """Time derivative of a state (n,), or of every row of a stack (m, n)."""
     x = _check_state(s, x)
     p = s.psi.eval(x)
-    quad = (s.graph.b @ p) @ p
-    return -s.graph.degrees * x + s.pi * (s.graph.a2 @ p + quad)
+    quad = _matvec(_pair_rows(s.graph, p), p)
+    return -s.graph.degrees * x + s.pi * (_matvec(s.graph.a2, p) + quad)
 
 
 def jacobian(s: SystemInstance, x) -> np.ndarray:
-    """Derivative of the field; column k is scaled by the transmission slope
+    """Derivative of the field at a state (n,) -> (n, n), or at every row of
+    a stack (m, n) -> (m, n, n); column k is scaled by the transmission slope
     at x_k, with the 2-interaction part entering through its slice products."""
     x = _check_state(s, x)
     p = s.psi.eval(x)
     dp = s.psi.deriv(x)
-    pair_rows = s.graph.b @ p  # row i: agent i's 2-interaction mass against p
-    j = s.pi * (s.graph.a2 + 2.0 * pair_rows) * dp[None, :]
-    j.flat[::s.graph.n + 1] -= s.graph.degrees
+    j = s.pi * (s.graph.a2 + 2.0 * _pair_rows(s.graph, p)) * dp[..., None, :]
+    j.reshape(-1, s.graph.n ** 2)[:, ::s.graph.n + 1] -= s.graph.degrees
     return j
 
 
@@ -91,14 +111,16 @@ def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
-    x = _check_state(s, x0).copy()
+    x = _one_state(s, x0).copy()
+    if not np.isfinite(x).all():
+        raise ValueError("start state must be finite")
     n_steps = int(round(t_max / dt))
     times = [0.0]
     states = [x.copy()]
     converged = False
     residual = np.inf
     for k in range(n_steps):
-        if np.abs(x).max() > _BLOWUP:
+        if not np.abs(x).max() <= _BLOWUP:  # also true for NaN
             raise DivergenceError(
                 f"state component exceeded {_BLOWUP:g} at t={k * dt:.6g}")
         k1 = vector_field(s, x)
@@ -113,7 +135,7 @@ def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
         times.append((k + 1) * dt)
         states.append(x.copy())
     if not converged:
-        if np.abs(x).max() > _BLOWUP:
+        if not np.abs(x).max() <= _BLOWUP:
             raise DivergenceError(f"state component exceeded {_BLOWUP:g} at t={t_max:.6g}")
         residual = float(np.abs(vector_field(s, x)).max())
         converged = residual < residual_tol
@@ -129,7 +151,7 @@ def lyapunov_value(s: SystemInstance, x) -> float:
     """Degree-weighted accumulated transmission, the energy that certifies
     global decay at low effort. Uses the family's closed-form antiderivative
     when available, otherwise fixed-order Gauss-Legendre quadrature."""
-    x = _check_state(s, x)
+    x = _one_state(s, x)
     if s.psi.integral is not None:
         parts = np.asarray(s.psi.integral(x), dtype=float)
     else:

@@ -8,8 +8,9 @@ state c*ones is stationary exactly when the scalar balance
 vanishes. For c > 0 the gap is h(c) (pi - F(c)), F(c) = (1 + alpha) c / h(c),
 h = psi + alpha psi^2. F has a single minimum, the fold level (least effort
 with a positive root pair); each side of its minimizer holds at most one root.
-General equilibria are found by damped Newton from a deterministic seed set
-and classified by the spectrum of the Jacobian.
+General equilibria are found by damped Newton from a deterministic seed set,
+all seeds of a level advancing together as one (m, n) stack, and classified
+by the spectrum of the Jacobian.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import NewtonDivergence, SingularJacobian
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-from .dynamics import SystemInstance, jacobian, vector_field
+from .dynamics import SystemInstance, _one_state, jacobian, vector_field
 from .spectra import general_eigenvalues, perron_pair
 
 __all__ = [
@@ -171,49 +172,81 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     return float(level), float(eps_star)
 
 
-def _newton_raw(s: SystemInstance, x0, tol=RESIDUAL_TOL, itmax=100):
-    """Damped Newton on the field. Polishes below ``tol`` until the full
-    Newton step itself is negligible: along near-singular directions the
-    residual underestimates the distance to the solution by orders of
-    magnitude, so a residual floor alone would accept states a visible
-    distance away."""
-    x = np.asarray(x0, dtype=float).copy()
+def _newton_rows(s: SystemInstance, X0, tol=RESIDUAL_TOL, itmax=100):
+    """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
+    following the iteration it would follow alone until it is done. Returns
+    states, residuals and causes: 'converged', 'diverged' (blow-up or
+    ``itmax``), 'singular' or 'stalled' (no damping helps); the last two count
+    as converged below ``tol``. A row polishes below ``tol`` until its full
+    Newton step is negligible: along near-singular directions the residual
+    underestimates the distance to the solution by orders of magnitude."""
+    x = np.array(X0, dtype=float)
     fx = vector_field(s, x)
-    res = float(np.abs(fx).max())
-    step_inf = np.inf
+    res = np.abs(fx).max(axis=1)
+    step_inf = np.full(len(x), np.inf)
+    cause = np.full(len(x), "diverged", dtype=object)
+    live = np.arange(len(x))
     for _ in range(itmax):
-        if res < _RESIDUAL_FLOOR and step_inf < _STEP_FLOOR:
-            return x, res
-        if np.abs(x).max() > 1e12 or not np.isfinite(res):
-            raise NewtonDivergence(f"iterates blew up (residual {res:.3e})")
+        done = (res[live] < _RESIDUAL_FLOOR) & (step_inf[live] < _STEP_FLOOR)
+        cause[live[done]] = "converged"
+        live = live[~done]
+        live = live[(np.abs(x[live]).max(axis=1) <= 1e12) & np.isfinite(res[live])]
+        if not live.size:
+            break
+        j, rhs = jacobian(s, x[live]), -fx[live]
         try:
-            step = np.linalg.solve(jacobian(s, x), -fx)
-        except np.linalg.LinAlgError as exc:
-            if res < tol:
-                return x, res
-            raise SingularJacobian(str(exc)) from exc
-        step_inf = float(np.abs(step).max())
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            x_new = x + lam * step
-            if np.array_equal(x_new, x):
+            step = np.linalg.solve(j, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some matrix of the stack is singular
+            step, solved = np.empty_like(rhs), np.ones(live.size, dtype=bool)
+            for k in range(live.size):
+                try:
+                    step[k] = np.linalg.solve(j[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    solved[k] = False
+            failed = live[~solved]
+            cause[failed] = np.where(res[failed] < tol, "converged", "singular")
+            live, step = live[solved], step[solved]
+        step_inf[live] = np.abs(step).max(axis=1)
+        x_l, r_l = x[live], res[live]
+        x_new = x_l + step
+        f_new = vector_field(s, x_new)
+        r_new = np.abs(f_new).max(axis=1)
+        moved = (x_new != x_l).any(axis=1)
+        better = moved & (r_new < r_l)
+        pending = np.flatnonzero(moved & ~better)
+        for lam in 0.5 ** np.arange(1, 30):  # a row stops where it improves or x stands still
+            trial = x_l[pending] + lam * step[pending]
+            go = (trial != x_l[pending]).any(axis=1)
+            pending, trial = pending[go], trial[go]
+            if not pending.size:
                 break
-            f_new = vector_field(s, x_new)
-            r_new = float(np.abs(f_new).max())
-            if r_new < res:
-                x, fx, res = x_new, f_new, r_new
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            if res < tol:
-                return x, res
-            raise NewtonDivergence(
-                f"line search stalled at residual {res:.3e}")
-    if res < tol:
-        return x, res
-    raise NewtonDivergence(f"no convergence in {itmax} iterations (residual {res:.3e})")
+            f_t = vector_field(s, trial)
+            r_t = np.abs(f_t).max(axis=1)
+            hit = r_t < r_l[pending]
+            k = pending[hit]
+            x_new[k], f_new[k], r_new[k], better[k] = trial[hit], f_t[hit], r_t[hit], True
+            pending = pending[~hit]
+        stuck = live[~better]
+        cause[stuck] = np.where(res[stuck] < tol, "converged", "stalled")
+        live = live[better]
+        x[live], fx[live], res[live] = x_new[better], f_new[better], r_new[better]
+    cause[live] = np.where(res[live] < tol, "converged", "diverged")
+    return x, res, cause
+
+
+def _newton_raw(s: SystemInstance, x0, tol=RESIDUAL_TOL, itmax=100):
+    """Damped Newton from one state: (state, residual), or NewtonDivergence or
+    SingularJacobian. A stack (m, n) returns ``_newton_rows`` instead, so that
+    ``find_all``'s seed stack is one call of this name (benchmarks/tracing.py)."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2:
+        return _newton_rows(s, x0, tol, itmax)
+    x, res, cause = _newton_rows(s, x0[None], tol, itmax)
+    if cause[0] == "singular":
+        raise SingularJacobian(f"singular Jacobian at residual {res[0]:.3e}")
+    if cause[0] != "converged":
+        raise NewtonDivergence(f"Newton {cause[0]} at residual {res[0]:.3e}")
+    return x[0], float(res[0])
 
 
 def classify(s: SystemInstance, x, residual: Optional[float] = None) -> Equilibrium:
@@ -280,7 +313,7 @@ def _enumerate_seeds(s: SystemInstance, spec: SeedSpec) -> list[np.ndarray]:
             if s.graph.alpha == 0.0:
                 seeds.append(-root * ones)
     for x in spec.extra:
-        seeds.append(np.asarray(x, dtype=float))
+        seeds.append(_one_state(s, x))
     rng = np.random.default_rng(spec.rng_seed)
     bound = s.pi + 1.0
     for _ in range(spec.random_count):
@@ -289,21 +322,19 @@ def _enumerate_seeds(s: SystemInstance, spec: SeedSpec) -> list[np.ndarray]:
 
 
 def find_all(s: SystemInstance, seeds: Optional[SeedSpec] = None) -> list[Equilibrium]:
-    """Newton from every seed, deduplicated (sup distance 1e-6) and sorted
-    by sup norm. Seeds that diverge are dropped silently; reordering the
-    seed set cannot change the result beyond its guaranteed sorting."""
+    """Newton from every seed, all seeds advancing together as one stack,
+    deduplicated in seed order (sup distance 1e-6) and sorted by sup norm.
+    Seeds that diverge are dropped silently; reordering the seed set cannot
+    change the result beyond its guaranteed sorting."""
     spec = seeds or SeedSpec()
+    xs, ress, causes = _newton_raw(s, np.reshape(_enumerate_seeds(s, spec), (-1, s.graph.n)))
     found: list[np.ndarray] = []
     residuals: list[float] = []
-    for x0 in _enumerate_seeds(s, spec):
-        try:
-            x, res = _newton_raw(s, x0)
-        except (NewtonDivergence, SingularJacobian):
-            continue
-        if any(np.abs(x - y).max() < _DEDUP_TOL for y in found):
+    for x, res, cause in zip(xs, ress, causes):
+        if cause != "converged" or any(np.abs(x - y).max() < _DEDUP_TOL for y in found):
             continue
         found.append(x)
-        residuals.append(res)
+        residuals.append(float(res))
     order = sorted(range(len(found)),
                    key=lambda i: (float(np.abs(found[i]).max()), tuple(found[i])))
     return [classify(s, found[i], residuals[i]) for i in order]

@@ -13,6 +13,10 @@ class DimensionError(HyperdecideError):
     """Array has the wrong shape, or the state dimension is unsupported."""
 
 
+class NonFiniteWeightError(HyperdecideError):
+    """An interaction weight is infinite or NaN."""
+
+
 class AsymmetryError(HyperdecideError):
     """A matrix required to be symmetric is not."""
 

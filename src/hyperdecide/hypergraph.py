@@ -38,6 +38,7 @@ from .errors import (
     FormatError,
     GenerationError,
     NegativeWeightError,
+    NonFiniteWeightError,
     SelfLoopError,
     ZeroDegreeError,
 )
@@ -127,6 +128,14 @@ def _run_checks(a2: np.ndarray, b: np.ndarray, deg: np.ndarray):
     """Yield (name, error_or_None, detail) for every structural requirement,
     given the generalized degrees ``deg``."""
     n = a2.shape[0]
+    bad_a2, bad_b = np.argwhere(~np.isfinite(a2)), np.argwhere(~np.isfinite(b))
+    if bad_a2.size or bad_b.size:
+        where = (f"pairwise entry {tuple(map(int, bad_a2[0]))}" if bad_a2.size else
+                 f"agent {int(bad_b[0, 0])}, pair {tuple(map(int, bad_b[0, 1:]))}")
+        yield ("finite weights", NonFiniteWeightError(
+            f"weights must be finite: {where} is not"), f"first offender {where}")
+    else:
+        yield ("finite weights", None, "")
 
     bad = np.argwhere(a2 != a2.T)
     if bad.size:

@@ -115,6 +115,43 @@ def test_sweep_workers_match_serial(inst5, tanh):
     assert diagram_csv(serial) == diagram_csv(parallel)
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+def test_sweep_workers_clamped(inst5, tanh, monkeypatch):
+    import concurrent.futures
+    import os
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    grid = make_grid(1.5, 1.7, 0.1)  # 3 levels
+    serial = diagram_csv(sweep(inst5, tanh, grid))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
+    # grid size, then CPU count; one CPU (or an unknown count) starts no pool
+    assert _InlinePool.sizes == [3, 2]
+    with pytest.raises(ValueError):
+        sweep(inst5, tanh, grid, workers=0)
+
+
 def test_sweep_seed_spec_override(inst5, tanh):
     # heavier random probing must not change the threaded picture here
     grid = make_grid(1.6, 1.8, 0.1)

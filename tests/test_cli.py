@@ -142,6 +142,33 @@ def test_simulate_divergence_exit_code(inst_file, tmp_path):
     assert rc == 1
 
 
+def test_failed_run_leaves_no_manifest(inst_file, tmp_path):
+    huge = ",".join(["2000000"] * 5)
+    assert run(["simulate", inst_file, "--pi", "1.7", "--x0", f"list:{huge}",
+                "--out-dir", str(tmp_path)]) == 1
+    assert not (tmp_path / "simulate.manifest").exists()
+    # the same command that succeeds writes it
+    assert run(["simulate", inst_file, "--pi", "1.7", "--t-max", "1",
+                "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "simulate.manifest").exists()
+
+
+def test_usage_error_inside_a_handler_leaves_no_manifest(inst_file, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["simulate", inst_file, "--pi", "1.7", "--x0", "list:1,2",
+             "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert not (tmp_path / "simulate.manifest").exists()
+
+
+def test_sweep_workers_below_one_is_a_usage_error(inst_file, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["sweep", inst_file, "--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1",
+             "--workers", "0", "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert not (tmp_path / "sweep.manifest").exists()
+
+
 def test_equilibria_command(inst_file, tmp_path, capsys):
     rc = run(["equilibria", inst_file, "--pi", "1.7", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -186,6 +213,9 @@ def test_sweep_reruns_byte_identical(inst_file, tmp_path):
     ["simulate", "--pi", "1.7", "--dt", "nan"],
     ["sweep", "--pi-step", "nan"],
     ["simulate", "--config", "pi=inf"],
+    ["simulate", "--pi", "1.7", "--x0", "list:nan,0,0,0,0"],
+    ["simulate", "--pi", "1.7", "--x0", "consensus:inf"],
+    ["simulate", "--pi", "1.7", "--x0", "random:3:inf"],
 ])
 def test_non_finite_floats_are_usage_errors(args, inst_file, tmp_path, capsys):
     command, *flags = args

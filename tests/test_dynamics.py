@@ -45,6 +45,63 @@ def test_vector_field_shape_guard(inst5, tanh):
     s = _sys(inst5, 1.0, tanh)
     with pytest.raises(DimensionError):
         vector_field(s, np.zeros(4))
+    for bad in (np.zeros((3, 4)), np.zeros((2, 3, 5)), 0.0):
+        with pytest.raises(DimensionError):
+            vector_field(s, bad)
+        with pytest.raises(DimensionError):
+            jacobian(s, bad)
+    # the integrator and the energy take one state only
+    with pytest.raises(DimensionError):
+        integrate(s, np.zeros((2, 5)))
+    with pytest.raises(DimensionError):
+        lyapunov_value(s, np.zeros((2, 5)))
+
+
+def test_stack_matches_row_by_row(inst5, k3, tanh):
+    rng = np.random.default_rng(8)
+    for g in (inst5, k3):
+        s = _sys(g, 1.9, tanh)
+        states = rng.uniform(-3.0, 3.0, (7, g.n))
+        fields, jacs = vector_field(s, states), jacobian(s, states)
+        assert fields.shape == (7, g.n) and jacs.shape == (7, g.n, g.n)
+        for x, f, j in zip(states, fields, jacs):
+            assert np.abs(f - vector_field(s, x)).max() <= 1e-13
+            assert np.abs(j - jacobian(s, x)).max() <= 1e-13
+
+
+def test_stacked_jacobian_matches_finite_differences(inst5, c5, tanh):
+    rng = np.random.default_rng(9)
+    h = 1e-6
+    for g in (inst5, c5):
+        s = _sys(g, 1.9, tanh)
+        states = rng.uniform(-2.0, 2.0, (6, g.n))
+        jacs = jacobian(s, states)
+        denom = max(1.0, np.abs(jacs).max())
+        for col in range(g.n):
+            e = np.zeros(g.n)
+            e[col] = h
+            fd = (vector_field(s, states + e) - vector_field(s, states - e)) / (2 * h)
+            assert np.abs(jacs[:, :, col] - fd).max() / denom < 1e-6
+
+
+def test_integrate_refuses_non_finite_start(inst5, tanh):
+    s = _sys(inst5, 1.7, tanh)
+    for bad in (np.nan, np.inf, -np.inf):
+        x0 = np.zeros(5)
+        x0[2] = bad
+        with pytest.raises(ValueError):
+            integrate(s, x0)
+
+
+def test_integrate_stops_when_the_state_turns_nan(inst5, tanh):
+    # transmission turns NaN past |x| = 1; the run from 0.5 * ones heads for
+    # the upper state (about 1.437) and must stop instead of carrying NaN on
+    nan_tail = hd.SigmoidFamily(
+        eval=lambda x: np.where(np.abs(x) < 1.0, np.tanh(x), np.nan),
+        deriv=tanh.deriv, deriv2=tanh.deriv2, name="tanh-nan-tail")
+    s = SystemInstance(graph=inst5, psi=nan_tail, pi=1.7)
+    with pytest.raises(DivergenceError):
+        integrate(s, 0.5 * np.ones(5))
 
 
 def test_effort_must_be_positive(inst5, tanh):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 import hyperdecide as hd
+import hyperdecide.equilibria as equilibria
 from hyperdecide.dynamics import SystemInstance, jacobian, vector_field
 from hyperdecide.equilibria import (
     Equilibrium,
@@ -23,8 +24,10 @@ from hyperdecide.equilibria import (
     newton_find,
     normal_form_coeffs,
     pi1_star,
+    _newton_raw,
+    _newton_rows,
 )
-from hyperdecide.errors import NewtonDivergence
+from hyperdecide.errors import DimensionError, NewtonDivergence, SingularJacobian
 from hyperdecide.spectra import general_eigenvalues, perron_pair, thresholds
 
 GAP_1_2_1 = 0.6832396286834772  # consensus gap at eps=1, effort 2, ratio 1
@@ -230,6 +233,101 @@ def test_newton_rejects_bad_seed(inst5, tanh):
     s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
     with pytest.raises(NewtonDivergence):
         newton_find(s, np.full(5, np.nan))
+
+
+_ROW_GRAPHS = {"inst5": hd.random_instance(5, 0.8, 0.2, 1.0, 1),
+               "n8": hd.random_instance(8, 0.5, 0.3, 0.7, 11)}
+
+
+def _one_seed_newton(s, x0, tol=1e-10, itmax=100):
+    """Damped Newton one seed at a time, as the search ran before seeds were
+    stacked: the reference every row of a stack reproduces bit for bit."""
+    x = np.asarray(x0, dtype=float).copy()
+    fx = vector_field(s, x)
+    res = float(np.abs(fx).max())
+    step_inf = np.inf
+    for _ in range(itmax):
+        if res < 1e-13 and step_inf < 1e-9:
+            return x, "converged"
+        if np.abs(x).max() > 1e12 or not np.isfinite(res):
+            return x, "diverged"
+        try:
+            step = np.linalg.solve(jacobian(s, x), -fx)
+        except np.linalg.LinAlgError:
+            return x, "converged" if res < tol else "singular"
+        step_inf = float(np.abs(step).max())
+        lam = 1.0
+        for _ in range(30):
+            x_new = x + lam * step
+            if np.array_equal(x_new, x):
+                return x, "converged" if res < tol else "stalled"
+            f_new = vector_field(s, x_new)
+            r_new = float(np.abs(f_new).max())
+            if r_new < res:
+                x, fx, res = x_new, f_new, r_new
+                break
+            lam *= 0.5
+        else:
+            return x, "converged" if res < tol else "stalled"
+    return x, "converged" if res < tol else "diverged"
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=st.sampled_from(sorted(_ROW_GRAPHS)), pi=st.floats(0.2, 5.0),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+       scale=st.sampled_from([0.1, 1.0, 3.0]))
+def test_newton_rows_follow_the_one_row_iteration(graph, pi, seed, m, scale):
+    g = _ROW_GRAPHS[graph]
+    s = SystemInstance(graph=g, psi=hd.tanh_family(), pi=pi)
+    starts = scale * np.random.default_rng(seed).uniform(-(pi + 1.0), pi + 1.0, (m, g.n))
+    states, residuals, causes = _newton_rows(s, starts)
+    for x0, x, res, cause in zip(starts, states, residuals, causes):
+        ref, ref_cause = _one_seed_newton(s, x0)
+        assert cause == ref_cause
+        assert np.array_equal(x, ref, equal_nan=True)
+        if cause == "converged":
+            one, one_res = _newton_raw(s, x0)
+            assert np.abs(one - x).max() <= 1e-12
+            assert res < 1e-10 and one_res < 1e-10
+        elif cause == "singular":
+            with pytest.raises(SingularJacobian):
+                _newton_raw(s, x0)
+        else:
+            with pytest.raises(NewtonDivergence, match=cause):
+                _newton_raw(s, x0)
+
+
+def test_find_all_rejects_wrong_length_extra_seed(inst5, tanh):
+    s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
+    with pytest.raises(DimensionError):
+        find_all(s, SeedSpec(extra=(np.zeros(4),)))
+
+
+def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
+    # one start blows up at once; another gets an all-zero Jacobian, which
+    # makes the stacked solve raise and sends that iteration to row solves
+    s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
+    marker = 0.123456789
+    diverging, singular = np.full(5, 1e13), np.full(5, marker)
+    plain = find_all(s)
+    real_jacobian = equilibria.jacobian
+
+    def singular_at_marker(s_, x):
+        j = real_jacobian(s_, x)
+        j[np.asarray(x)[..., 0] == marker] = 0.0
+        return j
+
+    monkeypatch.setattr(equilibria, "jacobian", singular_at_marker)
+    _, _, causes = _newton_rows(s, [diverging, singular, np.zeros(5), 2.0 * np.ones(5)])
+    assert list(causes) == ["diverged", "singular", "converged", "converged"]
+    with pytest.raises(SingularJacobian):
+        _newton_raw(s, singular)
+    spec = SeedSpec(extra=(diverging, singular))
+    found = find_all(s, spec)
+    assert len(found) == len(plain) == 3
+    for a, b in zip(found, plain):
+        assert np.abs(a.state - b.state).max() <= 1e-12
+        assert a.classification == b.classification
 
 
 def test_equilibrium_residual_contract(inst5, tanh):

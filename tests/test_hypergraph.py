@@ -11,6 +11,7 @@ from hyperdecide.errors import (
     FormatError,
     GenerationError,
     NegativeWeightError,
+    NonFiniteWeightError,
     SelfLoopError,
 )
 from hyperdecide.hypergraph import compute_degrees, is_connected, parse_arrays
@@ -98,6 +99,23 @@ def test_build_rejects_negative_slice():
         hd.build(_k4(), b)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_build_rejects_non_finite_weights(bad):
+    # symmetric entries, so only the finiteness check can object
+    a2 = _k4()
+    a2[0, 1] = a2[1, 0] = bad
+    with pytest.raises(NonFiniteWeightError, match=r"pairwise entry \(0, 1\)"):
+        hd.build(a2, np.zeros((4, 4, 4)))
+    b = np.zeros((4, 4, 4))
+    b[3, 0, 1] = b[3, 1, 0] = bad
+    with pytest.raises(NonFiniteWeightError, match=r"agent 3, pair \(0, 1\)"):
+        hd.build(_k4(), b)
+    for arrays in ((a2, np.zeros((4, 4, 4))), (_k4(), b)):
+        by_name = {r.name: r for r in hd.validation_report(*arrays)}
+        assert not by_name["finite weights"].passed
+        assert "first offender" in by_name["finite weights"].detail
+
+
 def test_validation_report_lists_all_failures():
     a2 = np.zeros((4, 4))
     a2[0, 1] = a2[1, 0] = 1.0
@@ -106,8 +124,9 @@ def test_validation_report_lists_all_failures():
     by_name = {r.name: r for r in report}
     assert not by_name["pairwise connectivity"].passed
     assert by_name["pairwise symmetry"].passed
-    # every check ran, pass or fail
-    assert len(report) == 8
+    # every check ran, pass or fail (finite weights first)
+    assert len(report) == 9
+    assert report[0].name == "finite weights" and report[0].passed
 
 
 def test_is_connected_matches_reachability_bruteforce():
