@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NewtonDivergence, NoBistabilityError, SingularJacobian
+from .errors import DimensionError, NewtonDivergence, NoBistabilityError, SingularJacobian
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
 from .dynamics import SystemInstance, integrate
@@ -88,7 +88,10 @@ class SweepResult:
 def make_grid(pi_min: float, pi_max: float, pi_step: float) -> np.ndarray:
     if pi_step <= 0.0 or pi_min <= 0.0 or pi_max < pi_min:
         raise ValueError("grid must be positive and increasing")
-    count = int(round((pi_max - pi_min) / pi_step)) + 1
+    steps = (pi_max - pi_min) / pi_step
+    if not np.isfinite(steps):
+        raise ValueError(f"grid step {pi_step:g} is too small for ({pi_min:g}, {pi_max:g})")
+    count = int(round(steps)) + 1
     grid = pi_min + pi_step * np.arange(count)
     return grid[grid <= pi_max + 1e-12]
 
@@ -324,10 +327,13 @@ def write_diagram_csv(result: SweepResult, path) -> None:
 
 def write_diagram_svg(result: SweepResult, path, coord: int = 0) -> None:
     """Scatter of one state coordinate against effort. Stable points are
-    solid, the rest hollow. Plain hand-written SVG, byte-deterministic."""
+    solid, the rest hollow. Plain hand-written SVG, byte-deterministic.
+    Raises DimensionError when ``coord`` is outside [0, n)."""
     pts = []
     for b in result.branches:
         for pi, eq in b.points:
+            if not 0 <= coord < eq.state.size:
+                raise DimensionError(f"coordinate {coord} is outside [0, {eq.state.size})")
             pts.append((pi, float(eq.state[coord]), eq.classification == "stable", b.branch_id))
     pts.sort(key=lambda p: (p[0], p[3]))
     w, h, m = 800, 500, 55

@@ -114,7 +114,10 @@ def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
     x = _one_state(s, x0).copy()
     if not np.isfinite(x).all():
         raise ValueError("start state must be finite")
-    n_steps = int(round(t_max / dt))
+    steps = t_max / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite step count")
+    n_steps = int(round(steps))
     times = [0.0]
     states = [x.copy()]
     converged = False

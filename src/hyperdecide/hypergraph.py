@@ -414,10 +414,15 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
 
     expect_section("[A2]")
     a2, idx = _parse_matrix(lines, idx, n, "[A2]")
-    b = np.zeros((n, n, n))
+    # n blocks of n + 1 lines must follow. A shorter text fails in the loop
+    # below, so it parses its blocks without the n^3 array.
+    short = len(lines) - idx + 1 < n * (n + 1)
+    b = None if short else np.zeros((n, n, n))
     for i in range(n):
         expect_section(f"[B{i + 1}]")
-        b[i], idx = _parse_matrix(lines, idx, n, f"[B{i + 1}]")
+        block, idx = _parse_matrix(lines, idx, n, f"[B{i + 1}]")
+        if not short:
+            b[i] = block
 
     while idx <= len(lines):
         if lines[idx - 1].strip():

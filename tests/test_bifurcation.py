@@ -13,7 +13,7 @@ from hyperdecide.bifurcation import (
 )
 from hyperdecide.dynamics import SystemInstance
 from hyperdecide.equilibria import SeedSpec, pi1_star
-from hyperdecide.errors import NoBistabilityError
+from hyperdecide.errors import DimensionError, NoBistabilityError
 
 PI_FOLD = 1.4436264328094527
 
@@ -30,6 +30,8 @@ def test_make_grid():
         make_grid(1.0, 0.5, 0.1)
     with pytest.raises(ValueError):
         make_grid(0.5, 1.0, -0.1)
+    with pytest.raises(ValueError):  # the step count overflows
+        make_grid(0.005, 5.0, 1e-320)
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +245,10 @@ def test_diagram_svg(small_sweep, tmp_path):
     assert 'fill="none"' in text  # hollow markers for non-stable points
     write_diagram_svg(small_sweep, tmp_path / "again.svg")
     assert (tmp_path / "again.svg").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("coord", [-1, 5])
+def test_diagram_svg_coordinate_outside_the_state(small_sweep, tmp_path, coord):
+    with pytest.raises(DimensionError):
+        write_diagram_svg(small_sweep, tmp_path / "bad.svg", coord=coord)
+    assert not (tmp_path / "bad.svg").exists()

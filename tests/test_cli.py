@@ -231,6 +231,55 @@ def test_non_finite_floats_are_usage_errors(args, inst_file, tmp_path, capsys):
     assert not (out / f"{command}.manifest").exists()
 
 
+SMALL_GRID = ["--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1"]
+
+
+@pytest.mark.parametrize("command, flags, key, value", [
+    ("simulate", ["--pi", "1.7"], "dt", "0"),
+    ("simulate", ["--pi", "1.7"], "t_max", "-1"),
+    ("simulate", [], "pi", "0"),
+    ("equilibria", [], "pi", "0"),
+    ("generate", [], "seed", "-1"),
+    ("sweep", SMALL_GRID, "workers", "0"),
+    ("sweep", SMALL_GRID + ["--svg", "d.svg"], "svg_coord", "-1"),
+    ("sweep", SMALL_GRID + ["--svg", "d.svg"], "svg_coord", "5"),  # inst5 has 5 agents
+])
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_out_of_range_values_are_usage_errors(command, flags, key, value, given_as,
+                                              inst_file, tmp_path, capsys):
+    if given_as == "flag":
+        flags = [*flags, "--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        flags = [*flags, "--config", str(cfg)]
+    file = [] if command == "generate" else [inst_file]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([command, *file, *flags, "--out-dir", str(out)])
+    assert err.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not any(out.glob("*"))  # no output and no manifest
+
+
+@pytest.mark.parametrize("args, code", [
+    (["sweep", "--pi-step", "1e-320"], 2),
+    (["simulate", "--pi", "1.7", "--t-max", "1e300", "--dt", "1e-300"], 1),
+])
+def test_step_counts_that_overflow(args, code, inst_file, tmp_path, capsys):
+    command, *flags = args
+    out = tmp_path / "out"
+    try:
+        rc = run([command, inst_file, *flags, "--out-dir", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err
+    assert not (out / f"{command}.manifest").exists()
+
+
 def test_config_file_supplies_defaults(inst_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("pi=1.7\nout=from_cfg.csv\n# comment line\n")

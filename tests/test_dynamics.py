@@ -93,6 +93,12 @@ def test_integrate_refuses_non_finite_start(inst5, tanh):
             integrate(s, x0)
 
 
+def test_integrate_refuses_a_step_count_that_is_not_finite(inst5, tanh):
+    s = _sys(inst5, 1.7, tanh)
+    with pytest.raises(ValueError):
+        integrate(s, np.zeros(5), dt=1e-300, t_max=1e300)
+
+
 def test_integrate_stops_when_the_state_turns_nan(inst5, tanh):
     # transmission turns NaN past |x| = 1; the run from 0.5 * ones heads for
     # the upper state (about 1.437) and must stop instead of carrying NaN on

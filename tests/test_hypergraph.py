@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hyperdecide as hd
 from hyperdecide.errors import (
@@ -215,6 +217,26 @@ def test_text_round_trip(inst5, c5, mixed_ratio):
             back.alpha is not None and back.alpha == pytest.approx(g.alpha, abs=0))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), p2=st.floats(0.3, 1.0), p3=st.floats(0.0, 1.0),
+       alpha=st.floats(0.0, 5.0), seed=st.integers(0, 2**32 - 1),
+       factor=st.floats(1e-12, 1e12), first=st.floats(1e-12, 1e12))
+def test_text_round_trip_is_exact(n, p2, p3, alpha, seed, factor, first):
+    try:
+        g = hd.random_instance(n, p2, p3, alpha, seed)
+    except hd.GenerationError:
+        assume(False)
+    g = hd.scale_two_interactions(g, factor)
+    # a second factor on agent 0 alone gives instances without a shared ratio
+    b = g.b.copy()
+    b[0] *= first
+    for h in (g, hd.build(g.a2, b)):
+        back = hd.from_text(hd.to_text(h))
+        assert np.array_equal(back.a2, h.a2)
+        assert np.array_equal(back.b, h.b)
+        assert back.alpha == h.alpha
+
+
 def test_save_load(tmp_path, inst5):
     path = tmp_path / "inst.txt"
     hd.save(inst5, path)
@@ -260,6 +282,20 @@ def test_parse_error_positions(inst5):
         hd.from_text("\n".join(missing) + "\n")
     # trailing junk
     _expect_format_error("\n".join(lines) + "\nextra\n", len(lines) + 1)
+
+
+def test_missing_triple_blocks_fail_before_the_cubic_allocation():
+    n = 400
+    zeros = " ".join(["0"] * n)
+    text = f"n={n} alpha=none\n[A2]\n" + "\n".join([zeros] * n) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"\[B1\]"):
+            parse_arrays(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6  # the n^3 array alone would be 512 MB
 
 
 def test_parse_error_wrong_width(inst5):
