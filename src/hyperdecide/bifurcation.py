@@ -60,6 +60,11 @@ _MATCH_FLOOR = 0.05
 _SLOPE_INIT = 10.0
 _EQ_TOL = 1e-6
 _ATTRACTOR_TOL = 1e-4
+# default effort grid of a sweep: 1000 levels
+PI_MIN, PI_MAX, PI_STEP = 0.005, 5.0, 0.005
+# A sweep runs a global equilibrium search per level, a few ms each at n=5,
+# so a million levels is already more than an hour; the grid itself is 8 MB.
+_MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass
@@ -92,6 +97,9 @@ def make_grid(pi_min: float, pi_max: float, pi_step: float) -> np.ndarray:
     if not np.isfinite(steps):
         raise ValueError(f"grid step {pi_step:g} is too small for ({pi_min:g}, {pi_max:g})")
     count = int(round(steps)) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"grid step {pi_step:g} gives {count} levels on ({pi_min:g}, "
+                         f"{pi_max:g}); at most {_MAX_GRID_POINTS} are allowed")
     grid = pi_min + pi_step * np.arange(count)
     return grid[grid <= pi_max + 1e-12]
 
@@ -110,7 +118,7 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
           workers: int = 1) -> SweepResult:
     """Thread equilibria across an increasing effort grid into branches."""
     psi = psi or tanh_family()
-    grid = make_grid(0.005, 5.0, 0.005) if pi_grid is None else np.asarray(pi_grid, dtype=float)
+    grid = make_grid(PI_MIN, PI_MAX, PI_STEP) if pi_grid is None else np.asarray(pi_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
     if not (np.all(np.diff(grid) > 0.0) and grid[0] > 0.0):
@@ -232,16 +240,22 @@ def bistability_interval(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) ->
         pi = lo + (hi - lo) * t / 6.0
         s = SystemInstance(graph=g, psi=psi, pi=pi)
         origin = classify(s, np.zeros(g.n))
-        roots = consensus_roots(ScalarReduced(alpha=g.alpha, pi=pi), psi)
-        if not roots:
-            raise NoBistabilityError(f"no upper root at effort {pi!r}")
-        try:
-            upper = classify(s, *_newton_raw(s, max(roots) * np.ones(g.n)))
-        except (NewtonDivergence, SingularJacobian) as exc:
-            raise NoBistabilityError(f"upper state lost at effort {pi!r}") from exc
+        upper = classify(s, *_upper_consensus(s))
         if origin.classification != "stable" or upper.classification != "stable":
             raise NoBistabilityError(f"missing stable pair at effort {pi!r}")
     return (lo, hi)
+
+
+def _upper_consensus(s: SystemInstance):
+    """Newton's (state, residual) from c * ones at the largest positive
+    consensus root c; NoBistabilityError when there is no root or Newton fails."""
+    roots = consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi)
+    if not roots:
+        raise NoBistabilityError(f"no upper root at effort {s.pi!r}")
+    try:
+        return _newton_raw(s, max(roots) * np.ones(s.graph.n))
+    except (NewtonDivergence, SingularJacobian) as exc:
+        raise NoBistabilityError(f"upper state lost at effort {s.pi!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -268,23 +282,19 @@ class BasinReport:
         return True
 
 
-def basin_probe(s: SystemInstance, radii: Sequence[float],
-                dt: float = 0.01, t_max: float = 200.0) -> BasinReport:
+def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
     """Integrate from c * ones per radius and label the attractor reached."""
-    n = s.graph.n
-    ones = np.ones(n)
+    ones = np.ones(s.graph.n)
     target = None
     if s.graph.alpha is not None:
-        roots = consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi)
-        if roots:
-            try:
-                target, _ = _newton_raw(s, max(roots) * ones)
-            except (NewtonDivergence, SingularJacobian):
-                target = None
+        try:
+            target, _ = _upper_consensus(s)
+        except NoBistabilityError:
+            pass
     labels = []
     finals = []
     for c in radii:
-        traj = integrate(s, float(c) * ones, dt=dt, t_max=t_max)
+        traj = integrate(s, float(c) * ones)
         x = traj.states[-1]
         finals.append(x)
         if not traj.converged:

@@ -26,10 +26,12 @@ import numpy as np
 
 from .errors import HyperdecideError
 from .nonlinearity import tanh_family
-from .hypergraph import from_text, load, parse_arrays, random_instance, save, validation_report
-from .dynamics import SystemInstance, integrate, write_trajectory_csv
+from .hypergraph import (MAX_AGENTS, from_text, load, parse_arrays, random_instance, save,
+                         validation_report)
+from .dynamics import DT, T_MAX, SystemInstance, integrate, write_trajectory_csv
 from .equilibria import find_all, normal_form_coeffs, pi1_star, write_equilibria_csv
-from .bifurcation import make_grid, sweep, write_diagram_csv, write_diagram_svg
+from .bifurcation import (PI_MAX, PI_MIN, PI_STEP, make_grid, sweep, write_diagram_csv,
+                          write_diagram_svg)
 from .spectra import thresholds, thresholds_text, with_pi1_star
 
 __all__ = ["main", "build_parser"]
@@ -243,7 +245,7 @@ def _cmd_normal_form(run, parser):
 
 _COMMANDS = {
     "generate": _Command(_cmd_generate, "draw a random connected instance", {
-        "n": _Option(_number(int, 2), 5),
+        "n": _Option(_number(int, 2, MAX_AGENTS), 5),
         "p2": _Option(_number(float, 0.0, 1.0, strict=True), 0.8, help="pairwise edge probability"),
         "p3": _Option(_number(float, 0.0, 1.0), 0.2, help="triple probability"),
         "alpha": _Option(_number(float, 0.0), 1.0, help="2-interaction ratio"),
@@ -257,8 +259,8 @@ _COMMANDS = {
         "pi": _Option(_POSITIVE, required=True, help="effort level (required)"),
         "x0": _Option(str, "zeros",
                       help="zeros | consensus:C | random:SEED[:NORM] | list:v1,v2,..."),
-        "dt": _Option(_POSITIVE, 0.01),
-        "t_max": _Option(_POSITIVE, 200.0),
+        "dt": _Option(_POSITIVE, DT),
+        "t_max": _Option(_POSITIVE, T_MAX),
         "out": _Option(str, "trajectory.csv"),
     }),
     "equilibria": _Command(_cmd_equilibria, "global equilibrium search at one effort level", {
@@ -266,9 +268,9 @@ _COMMANDS = {
         "out": _Option(str, "equilibria.csv"),
     }),
     "sweep": _Command(_cmd_sweep, "effort sweep to a branch diagram CSV", {
-        "pi_min": _Option(_POSITIVE, 0.005),
-        "pi_max": _Option(_POSITIVE, 5.0),
-        "pi_step": _Option(_POSITIVE, 0.005),
+        "pi_min": _Option(_POSITIVE, PI_MIN),
+        "pi_max": _Option(_POSITIVE, PI_MAX),
+        "pi_step": _Option(_POSITIVE, PI_STEP),
         "workers": _Option(_number(int, 1), 1),
         "out": _Option(str, "diagram.csv"),
         "svg": _Option(str, help="also write an SVG scatter here"),

@@ -33,6 +33,12 @@ __all__ = [
 ]
 
 _BLOWUP = 1e6
+# default RK4 step and horizon
+DT = 0.01
+T_MAX = 200.0
+# field residual (sup norm) below which a state counts as stationary
+RESIDUAL_TOL = 1e-10
+_SUP_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,12 +108,11 @@ def jacobian(s: SystemInstance, x) -> np.ndarray:
     return j
 
 
-def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
-              residual_tol: float = 1e-10) -> Trajectory:
+def integrate(s: SystemInstance, x0, dt: float = DT, t_max: float = T_MAX) -> Trajectory:
     """Fixed-step 4th-order Runge-Kutta run from ``x0``.
 
     Every accepted step is recorded. The run is converged when the field
-    residual (sup norm) falls below ``residual_tol`` before ``t_max``.
+    residual falls below ``RESIDUAL_TOL`` before ``t_max``.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
@@ -128,7 +133,7 @@ def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
                 f"state component exceeded {_BLOWUP:g} at t={k * dt:.6g}")
         k1 = vector_field(s, x)
         residual = float(np.abs(k1).max())
-        if residual < residual_tol:
+        if residual < RESIDUAL_TOL:
             converged = True
             break
         k2 = vector_field(s, x + 0.5 * dt * k1)
@@ -141,7 +146,7 @@ def integrate(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
         if not np.abs(x).max() <= _BLOWUP:
             raise DivergenceError(f"state component exceeded {_BLOWUP:g} at t={t_max:.6g}")
         residual = float(np.abs(vector_field(s, x)).max())
-        converged = residual < residual_tol
+        converged = residual < RESIDUAL_TOL
     return Trajectory(
         times=np.array(times),
         states=np.array(states),
@@ -175,17 +180,16 @@ class SupNormReport:
     trajectory: Trajectory
 
 
-def sup_norm_report(s: SystemInstance, x0, dt: float = 0.01, t_max: float = 200.0,
-                    tol: float = 1e-9) -> SupNormReport:
+def sup_norm_report(s: SystemInstance, x0, t_max: float = T_MAX) -> SupNormReport:
     """Integrate and report whether the sup norm ever grew by more than
-    ``tol`` over a single step. Expected to pass below the fold level."""
-    traj = integrate(s, x0, dt=dt, t_max=t_max)
+    1e-9 over a single step. Expected to pass below the fold level."""
+    traj = integrate(s, x0, t_max=t_max)
     norms = np.abs(traj.states).max(axis=1)
     if norms.size < 2:
         return SupNormReport(True, 0.0, traj)
     increases = np.diff(norms)
     worst = float(increases.max())
-    return SupNormReport(bool(worst <= tol), worst, traj)
+    return SupNormReport(bool(worst <= _SUP_NORM_TOL), worst, traj)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NewtonDivergence, SingularJacobian
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-from .dynamics import SystemInstance, _one_state, jacobian, vector_field
+from .dynamics import RESIDUAL_TOL, SystemInstance, _one_state, jacobian, vector_field
 from .spectra import general_eigenvalues, perron_pair
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
     "write_equilibria_csv",
 ]
 
-RESIDUAL_TOL = 1e-10
+_NEWTON_ITMAX = 100
 _RESIDUAL_FLOOR = 1e-13
 _STEP_FLOOR = 1e-9
 _STABLE_TOL = 1e-8
@@ -172,12 +172,12 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     return float(level), float(eps_star)
 
 
-def _newton_rows(s: SystemInstance, X0, tol=RESIDUAL_TOL, itmax=100):
+def _newton_rows(s: SystemInstance, X0):
     """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
     following the iteration it would follow alone until it is done. Returns
-    states, residuals and causes: 'converged', 'diverged' (blow-up or
-    ``itmax``), 'singular' or 'stalled' (no damping helps); the last two count
-    as converged below ``tol``. A row polishes below ``tol`` until its full
+    states, residuals and causes: 'converged', 'diverged' (blow-up or 100
+    iterations), 'singular' or 'stalled' (no damping helps); the last two
+    count as converged below 1e-10. A row polishes below 1e-10 until its full
     Newton step is negligible: along near-singular directions the residual
     underestimates the distance to the solution by orders of magnitude."""
     x = np.array(X0, dtype=float)
@@ -186,7 +186,7 @@ def _newton_rows(s: SystemInstance, X0, tol=RESIDUAL_TOL, itmax=100):
     step_inf = np.full(len(x), np.inf)
     cause = np.full(len(x), "diverged", dtype=object)
     live = np.arange(len(x))
-    for _ in range(itmax):
+    for _ in range(_NEWTON_ITMAX):
         done = (res[live] < _RESIDUAL_FLOOR) & (step_inf[live] < _STEP_FLOOR)
         cause[live[done]] = "converged"
         live = live[~done]
@@ -204,7 +204,7 @@ def _newton_rows(s: SystemInstance, X0, tol=RESIDUAL_TOL, itmax=100):
                 except np.linalg.LinAlgError:
                     solved[k] = False
             failed = live[~solved]
-            cause[failed] = np.where(res[failed] < tol, "converged", "singular")
+            cause[failed] = np.where(res[failed] < RESIDUAL_TOL, "converged", "singular")
             live, step = live[solved], step[solved]
         step_inf[live] = np.abs(step).max(axis=1)
         x_l, r_l = x[live], res[live]
@@ -227,21 +227,21 @@ def _newton_rows(s: SystemInstance, X0, tol=RESIDUAL_TOL, itmax=100):
             x_new[k], f_new[k], r_new[k], better[k] = trial[hit], f_t[hit], r_t[hit], True
             pending = pending[~hit]
         stuck = live[~better]
-        cause[stuck] = np.where(res[stuck] < tol, "converged", "stalled")
+        cause[stuck] = np.where(res[stuck] < RESIDUAL_TOL, "converged", "stalled")
         live = live[better]
         x[live], fx[live], res[live] = x_new[better], f_new[better], r_new[better]
-    cause[live] = np.where(res[live] < tol, "converged", "diverged")
+    cause[live] = np.where(res[live] < RESIDUAL_TOL, "converged", "diverged")
     return x, res, cause
 
 
-def _newton_raw(s: SystemInstance, x0, tol=RESIDUAL_TOL, itmax=100):
+def _newton_raw(s: SystemInstance, x0):
     """Damped Newton from one state: (state, residual), or NewtonDivergence or
     SingularJacobian. A stack (m, n) returns ``_newton_rows`` instead, so that
     ``find_all``'s seed stack is one call of this name (benchmarks/tracing.py)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 2:
-        return _newton_rows(s, x0, tol, itmax)
-    x, res, cause = _newton_rows(s, x0[None], tol, itmax)
+        return _newton_rows(s, x0)
+    x, res, cause = _newton_rows(s, x0[None])
     if cause[0] == "singular":
         raise SingularJacobian(f"singular Jacobian at residual {res[0]:.3e}")
     if cause[0] != "converged":
@@ -275,9 +275,9 @@ def classify(s: SystemInstance, x, residual: Optional[float] = None) -> Equilibr
     )
 
 
-def newton_find(s: SystemInstance, x0, itmax: int = 100) -> Equilibrium:
+def newton_find(s: SystemInstance, x0) -> Equilibrium:
     """Damped Newton from ``x0``, classified on success."""
-    x, res = _newton_raw(s, x0, itmax=itmax)
+    x, res = _newton_raw(s, x0)
     return classify(s, x, res)
 
 

@@ -61,6 +61,11 @@ __all__ = [
 
 # relative tolerance for detecting a shared 2-interaction ratio
 _ALPHA_RTOL = 1e-10
+# Largest dense (n, n, n) triple tensor random_instance draws: 1 GiB, 512
+# agents. build copies it and validation makes n^3 masks beside it, and every
+# field or Jacobian row streams it once.
+MAX_TENSOR_BYTES = 1 << 30
+MAX_AGENTS = round((MAX_TENSOR_BYTES / 8) ** (1 / 3))
 
 
 @dataclass(frozen=True)
@@ -101,27 +106,30 @@ def is_connected(support: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _as_square(a2) -> np.ndarray:
+def _arrays(a2, b):
+    """Float arrays of checked shape with the per-agent pairwise and
+    2-interaction weight totals: (a2, b, pair_mass, tri_mass)."""
     a2 = np.asarray(a2, dtype=float)
     if a2.ndim != 2 or a2.shape[0] != a2.shape[1]:
         raise DimensionError(f"pairwise adjacency must be square, got shape {a2.shape}")
-    if a2.shape[0] < 2:
+    n = a2.shape[0]
+    if n < 2:
         raise DimensionError("at least 2 agents are required")
-    return a2
-
-
-def _as_slices(b, n) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (n, n, n):
         raise DimensionError(
             f"2-interaction stack must have shape {(n, n, n)}, got {b.shape}"
         )
-    return b
+    return a2, b, a2.sum(axis=1), b.sum(axis=(1, 2))
 
 
-def _row_masses(a2: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-agent pairwise and 2-interaction weight totals."""
-    return a2.sum(axis=1), b.sum(axis=(1, 2))
+def _positive_degrees(deg: np.ndarray):
+    zero = np.flatnonzero(deg <= 0.0)
+    if zero.size:
+        i = int(zero[0])
+        return ("positive degrees", ZeroDegreeError(
+            f"agent {i} has generalized degree 0"), f"agent {i}")
+    return ("positive degrees", None, "")
 
 
 def _run_checks(a2: np.ndarray, b: np.ndarray, deg: np.ndarray):
@@ -203,20 +211,12 @@ def _run_checks(a2: np.ndarray, b: np.ndarray, deg: np.ndarray):
     else:
         yield ("2-interaction nonnegativity", None, "")
 
-    zero = np.flatnonzero(deg <= 0.0)
-    if zero.size:
-        i = int(zero[0])
-        yield ("positive degrees", ZeroDegreeError(
-            f"agent {i} has generalized degree 0"), f"agent {i}")
-    else:
-        yield ("positive degrees", None, "")
+    yield _positive_degrees(deg)
 
 
 def validation_report(a2, b) -> list[CheckResult]:
     """Run every structural check and report instead of raising."""
-    a2 = _as_square(a2)
-    b = _as_slices(b, a2.shape[0])
-    pair_mass, tri_mass = _row_masses(a2, b)
+    a2, b, pair_mass, tri_mass = _arrays(a2, b)
     out = []
     for name, err, detail in _run_checks(a2, b, pair_mass + tri_mass):
         out.append(CheckResult(name, err is None, detail if err else ""))
@@ -225,13 +225,11 @@ def validation_report(a2, b) -> list[CheckResult]:
 
 def compute_degrees(a2, b) -> np.ndarray:
     """Generalized degrees: pairwise row sums plus full 2-interaction mass."""
-    a2 = _as_square(a2)
-    b = _as_slices(b, a2.shape[0])
-    pair_mass, tri_mass = _row_masses(a2, b)
+    _, _, pair_mass, tri_mass = _arrays(a2, b)
     deg = pair_mass + tri_mass
-    zero = np.flatnonzero(deg <= 0.0)
-    if zero.size:
-        raise ZeroDegreeError(f"agent {int(zero[0])} has generalized degree 0")
+    _, err, _ = _positive_degrees(deg)
+    if err is not None:
+        raise err
     return deg
 
 
@@ -250,9 +248,8 @@ def build(a2, b) -> Hypergraph2:
     across different agents' 2-interaction matrices is deliberately not
     enforced; each slice stands on its own.
     """
-    a2 = _as_square(a2).copy()
-    b = _as_slices(b, a2.shape[0]).copy()
-    pair_mass, tri_mass = _row_masses(a2, b)
+    a2, b, pair_mass, tri_mass = _arrays(a2, b)
+    a2, b = a2.copy(), b.copy()
     deg = pair_mass + tri_mass
     for _, err, _ in _run_checks(a2, b, deg):
         if err is not None:
@@ -272,10 +269,15 @@ def random_instance(n: int, p2: float, p3: float, alpha: float, seed: int) -> Hy
     ``p3`` over admissible pairs and then rescaled so its total mass is
     alpha times the agent's pairwise mass (alpha = 0 zeroes it). Both
     resampling loops give up after 100 attempts with GenerationError.
-    Identical arguments always produce bit-identical instances.
+    Identical arguments always produce bit-identical instances. Raises
+    DimensionError for more than ``MAX_AGENTS`` agents.
     """
     if n < 2:
         raise DimensionError("at least 2 agents are required")
+    if 8 * n ** 3 > MAX_TENSOR_BYTES:
+        raise DimensionError(
+            f"{n} agents need a {8 * n ** 3 / 2 ** 30:.3g} GiB triple tensor; at most "
+            f"{MAX_AGENTS} agents fit in {MAX_TENSOR_BYTES / 2 ** 30:g} GiB")
     if not (0.0 < p2 <= 1.0):
         raise ValueError("p2 must be in (0, 1]")
     if not (0.0 <= p3 <= 1.0):

@@ -83,6 +83,12 @@ def tanh_family() -> SigmoidFamily:
     )
 
 
+# Curvature of a saturating function underflows to zero far past the plateau,
+# so the grid stops at 10; an odd point count keeps 0 on it.
+_GRID_MAX = 10.0
+_GRID_POINTS = 2001
+
+
 @dataclass(frozen=True)
 class ClauseCheck:
     """Outcome of one regularity clause.
@@ -112,25 +118,14 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def verify_assumptions(f: SigmoidFamily, grid_max: float = 10.0,
-                       grid_points: int = 2001) -> AssumptionReport:
-    """Check the solver-facing regularity clauses on a symmetric grid.
+def verify_assumptions(f: SigmoidFamily) -> AssumptionReport:
+    """Check the solver-facing regularity clauses on 2001 points of [-10, 10].
 
     Clauses: ``odd`` (|f(x)+f(-x)| < 1e-12), ``unit_slope`` (f'(0) = 1 within
-    1e-12), ``monotone`` (f' > 0 everywhere), ``saturated``
-    (|f(+-grid_max)| in (0.99, 1], calibrated for grid_max >= 10) and
-    ``sigmoidal`` (f'' < 0 right of the origin, > 0 left of it). Curvature of
-    a saturating function underflows to zero far past the plateau, so keep
-    grid_max moderate.
+    1e-12), ``monotone`` (f' > 0 everywhere), ``saturated`` (|f(+-10)| in
+    (0.99, 1]) and ``sigmoidal`` (f'' < 0 right of the origin, > 0 left of it).
     """
-    if grid_max <= 0.0:
-        raise ValueError("grid_max must be positive")
-    if grid_points < 100:
-        raise ValueError("grid_points must be at least 100")
-    # odd point count keeps 0 on the grid
-    if grid_points % 2 == 0:
-        grid_points += 1
-    x = np.linspace(-grid_max, grid_max, grid_points)
+    x = np.linspace(-_GRID_MAX, _GRID_MAX, _GRID_POINTS)
     fx = np.asarray(f.eval(x), dtype=float)
     dfx = np.asarray(f.deriv(x), dtype=float)
     d2fx = np.asarray(f.deriv2(x), dtype=float)
@@ -149,10 +144,10 @@ def verify_assumptions(f: SigmoidFamily, grid_max: float = 10.0,
     clauses.append(ClauseCheck("monotone", bool(dfx[i] > 0.0),
                                float(x[i]), float(dfx[i])))
 
-    ends = np.abs(np.asarray(f.eval(np.array([-grid_max, grid_max])), dtype=float))
+    ends = np.abs(np.asarray(f.eval(np.array([-_GRID_MAX, _GRID_MAX])), dtype=float))
     i = int(np.argmin(ends))
     sat_ok = bool(np.all((ends > 0.99) & (ends <= 1.0)))
-    sat_x = -grid_max if i == 0 else grid_max
+    sat_x = -_GRID_MAX if i == 0 else _GRID_MAX
     clauses.append(ClauseCheck("saturated", sat_ok, sat_x, float(ends[i])))
 
     pos = x > 0.0

@@ -77,7 +77,7 @@ def symmetric_eigenvalues(m) -> Spectrum:
         vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
-    return Spectrum(values=vals.astype(complex), real_flag=True)
+    return Spectrum(values=vals, real_flag=True)
 
 
 def general_eigenvalues(m) -> Spectrum:

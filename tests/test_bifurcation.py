@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def test_make_grid():
         make_grid(0.5, 1.0, -0.1)
     with pytest.raises(ValueError):  # the step count overflows
         make_grid(0.005, 5.0, 1e-320)
+
+
+def test_make_grid_refuses_a_huge_point_count():
+    # 4 995 000 001 points, 37 GiB; the count is checked before the array
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most"):
+            make_grid(0.005, 5.0, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @pytest.fixture(scope="module")

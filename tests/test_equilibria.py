@@ -272,7 +272,7 @@ def _one_seed_newton(s, x0, tol=1e-10, itmax=100):
     return x, "converged" if res < tol else "diverged"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(graph=st.sampled_from(sorted(_ROW_GRAPHS)), pi=st.floats(0.2, 5.0),
        seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
        scale=st.sampled_from([0.1, 1.0, 3.0]))

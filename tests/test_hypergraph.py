@@ -188,6 +188,20 @@ def test_random_instance_argument_errors():
         hd.random_instance(5, 0.8, 0.2, -0.1, 1)
 
 
+def test_random_instance_refuses_a_tensor_above_the_bound():
+    # 3000 agents would need a 201 GiB triple tensor; the check runs first
+    assert 8 * hd.hypergraph.MAX_AGENTS ** 3 <= hd.hypergraph.MAX_TENSOR_BYTES
+    tracemalloc.start()
+    try:
+        for n in (hd.hypergraph.MAX_AGENTS + 1, 3000):
+            with pytest.raises(DimensionError, match="GiB"):
+                hd.random_instance(n, 0.8, 0.2, 1.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_random_instance_impossible_draw_raises():
     # p3=0 leaves every slice empty; a positive ratio can then never be hit
     with pytest.raises(GenerationError):
