@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HyperdecideError
 from .nonlinearity import tanh_family
-from .hypergraph import (MAX_AGENTS, from_text, load, parse_arrays, random_instance, save,
+from .hypergraph import (MAX_AGENTS, _from_parsed, load, parse_arrays, random_instance, save,
                          validation_report)
 from .dynamics import DT, T_MAX, SystemInstance, integrate, write_trajectory_csv
 from .equilibria import find_all, normal_form_coeffs, pi1_star, write_equilibria_csv
@@ -172,8 +172,7 @@ def _cmd_validate(run, parser):
             print(f"FAIL {check.name}: {check.detail}")
     if failed:
         return 1
-    # consistency of the stored ratio against the matrices
-    from_text(text)
+    _from_parsed(a2, b, header_alpha)  # the header's ratio against the matrices
     print("all assumptions hold")
     return 0
 
@@ -295,16 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(_flag(key), type=opt.convert, help=opt.help)
         p.add_argument("--out-dir", help=f"output directory (default: ${OUT_ENV} or '.')")
         p.add_argument("--config", help="key=value file supplying defaults (flags win)")
+        p.set_defaults(command_parser=p)  # usage errors after parsing show p's usage
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run = _resolve(args, parser)
+    args = build_parser().parse_args(argv)
+    run = _resolve(args, args.command_parser)
     os.makedirs(run["out_dir"], exist_ok=True)
     try:
-        code = _COMMANDS[args.command].handler(run, parser)
+        code = _COMMANDS[args.command].handler(run, args.command_parser)
     except (HyperdecideError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NewtonDivergence, SingularJacobian
-from .hypergraph import Hypergraph2
+from .hypergraph import Hypergraph2, _pair_rows
 from .nonlinearity import SigmoidFamily, tanh_family
 from .dynamics import RESIDUAL_TOL, SystemInstance, _one_state, jacobian, vector_field
 from .spectra import general_eigenvalues, perron_pair
@@ -111,10 +111,13 @@ def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200):
 
 
 def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> list[float]:
-    """Strictly positive roots of the consensus balance on [1e-8, 50].
+    """Strictly positive roots of the consensus balance on [1e-8, max(50, 2 pi)].
 
-    The fold state of ``pi1_star`` splits the range into two pieces on which
-    F is monotone, and a sign change on either piece is bisected to 1e-12.
+    Every positive root lies below pi, since psi < 1 gives
+    gap(c) < (1 + alpha) (pi - c); the range ends strictly above pi because
+    once psi rounds to 1 the gap at pi itself is exactly 0. The fold state of
+    ``pi1_star`` splits the range into two pieces on which F is monotone, and
+    a sign change on either piece is bisected to 1e-12.
     Returns 0, 1 or 2 roots in ascending order. Negative roots are never
     searched here: for alpha > 0 the balance is not odd, and the negative
     side is reached by Newton runs from negative seeds instead.
@@ -123,7 +126,7 @@ def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> li
     split = max(pi1_star(r.alpha, psi)[1], _ROOT_EPS_MIN)
     fn = lambda e: float(consensus_gap(r, e, psi))
     roots = []
-    for lo, hi in ((_ROOT_EPS_MIN, split), (split, _ROOT_EPS_MAX)):
+    for lo, hi in ((_ROOT_EPS_MIN, split), (split, max(_ROOT_EPS_MAX, 2.0 * r.pi))):
         flo = fn(lo)
         if flo * fn(hi) < 0.0:
             roots.append(_bisect(fn, lo, hi, flo))
@@ -138,7 +141,7 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     h(e) = psi(e) + alpha psi(e)^2, found by bisection to 1e-12, and the
     fold level is (1 + alpha) e / h(e); a tangency state below 1e-8 is
     reported at 1e-8. Always lands in [1, 1 + alpha]. Raises ValueError
-    when no tangency state lies in [1e-8, 50], the range of consensus_roots.
+    when no tangency state lies in [1e-8, 50].
     """
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
@@ -354,13 +357,13 @@ def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> t
     psi = psi or tanh_family()
     lam, v, w = perron_pair(g)
     level = 1.0 / lam
-    quad = float(level * np.sum((w / g.degrees) * ((g.b @ v) @ v)))
+    quad = float(level * np.sum((w / g.degrees) * (_pair_rows(g, v) @ v)))
 
     wd = w / g.degrees
 
     def reduced(y: float) -> float:
         p = psi.eval(y * v)
-        return float(level * wd @ (g.a2 @ p + (g.b @ p) @ p))
+        return float(level * wd @ (g.a2 @ p + _pair_rows(g, p) @ p))
 
     h = 0.05
     coeff = np.array([1.0 / 8.0, -1.0, 13.0 / 8.0, -13.0 / 8.0, 1.0, -1.0 / 8.0])

@@ -64,7 +64,8 @@ class MultiplicityError(HyperdecideError):
 
 
 class DivergenceError(HyperdecideError):
-    """A trajectory left the admissible region (component above 1e6)."""
+    """A trajectory left the admissible region: a component passed
+    max(1e6, 10 pi) in magnitude or turned NaN."""
 
 
 class NewtonDivergence(HyperdecideError):

@@ -25,7 +25,7 @@ round trip exactly. ``alpha=none`` marks the non-proportional case.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,6 +82,18 @@ class Hypergraph2:
         return self.a2.shape[0]
 
 
+def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
+    """b @ p, (n, n) or (m, n, n): row i is agent i's 2-interaction mass against
+    p (n,), or against each row of a stack p (m, n), one contraction per row so
+    that no row's bits depend on the stack height."""
+    return g.b @ p if p.ndim == 1 else (g.b @ p[:, None, :, None])[..., 0]
+
+
+def _received_mass(g: Hypergraph2) -> np.ndarray:
+    """(i, k): total weight agent i puts on pairs that hold agent k."""
+    return g.b.sum(axis=1)
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -123,113 +135,98 @@ def _arrays(a2, b):
     return a2, b, a2.sum(axis=1), b.sum(axis=(1, 2))
 
 
-def _positive_degrees(deg: np.ndarray):
-    zero = np.flatnonzero(deg <= 0.0)
-    if zero.size:
-        i = int(zero[0])
-        return ("positive degrees", ZeroDegreeError(
-            f"agent {i} has generalized degree 0"), f"agent {i}")
-    return ("positive degrees", None, "")
+def _first(mask: np.ndarray):
+    """Index tuple of the first True entry of ``mask`` in C order, or None."""
+    hit = np.argwhere(mask)
+    return tuple(map(int, hit[0])) if hit.size else None
 
 
-def _run_checks(a2: np.ndarray, b: np.ndarray, deg: np.ndarray):
-    """Yield (name, error_or_None, detail) for every structural requirement,
-    given the generalized degrees ``deg``."""
-    n = a2.shape[0]
-    bad_a2, bad_b = np.argwhere(~np.isfinite(a2)), np.argwhere(~np.isfinite(b))
-    if bad_a2.size or bad_b.size:
-        where = (f"pairwise entry {tuple(map(int, bad_a2[0]))}" if bad_a2.size else
-                 f"agent {int(bad_b[0, 0])}, pair {tuple(map(int, bad_b[0, 1:]))}")
-        yield ("finite weights", NonFiniteWeightError(
-            f"weights must be finite: {where} is not"), f"first offender {where}")
-    else:
-        yield ("finite weights", None, "")
+def _non_finite(a2, b, deg):
+    bad = _first(~np.isfinite(a2))
+    if bad is not None:
+        return (f"pairwise entry {bad}",)
+    bad = _first(~np.isfinite(b))
+    return None if bad is None else (f"agent {bad[0]}, pair {bad[1:]}",)
 
-    bad = np.argwhere(a2 != a2.T)
-    if bad.size:
-        i, j = map(int, bad[0])
-        yield ("pairwise symmetry", AsymmetryError(
-            f"pairwise adjacency must be symmetric: entries ({i},{j}) and ({j},{i}) differ"),
-            f"first offender ({i},{j})")
-    else:
-        yield ("pairwise symmetry", None, "")
 
-    diag = np.flatnonzero(np.diag(a2))
-    if diag.size:
-        i = int(diag[0])
-        yield ("pairwise null diagonal", SelfLoopError(
-            f"pairwise adjacency must have zero diagonal: entry ({i},{i}) is nonzero"),
-            f"first offender ({i},{i})")
-    else:
-        yield ("pairwise null diagonal", None, "")
-
-    neg = np.argwhere(a2 < 0.0)
-    if neg.size:
-        i, j = map(int, neg[0])
-        yield ("pairwise nonnegativity", NegativeWeightError(
-            f"pairwise weights must be nonnegative: entry ({i},{j}) is negative"),
-            f"first offender ({i},{j})")
-    else:
-        yield ("pairwise nonnegativity", None, "")
-
-    if not is_connected(a2 != 0.0):
-        yield ("pairwise connectivity", DisconnectedError(
-            "pairwise support graph must connect all agents"), "")
-    else:
-        yield ("pairwise connectivity", None, "")
-
-    sym = np.argwhere(b != np.transpose(b, (0, 2, 1)))
-    if sym.size:
-        i, j, k = map(int, sym[0])
-        yield ("2-interaction symmetry", AsymmetryError(
-            f"2-interaction matrix {i} must be symmetric: entries ({j},{k}) and ({k},{j}) differ"),
-            f"first offender agent {i}, pair ({j},{k})")
-    else:
-        yield ("2-interaction symmetry", None, "")
-
+def _own_participant(a2, b, deg):
+    """First nonzero weight agent i puts on a pair holding i or a repeated agent."""
+    n = b.shape[0]
     own = np.zeros((n, n, n), dtype=bool)
     idx = np.arange(n)
     own[idx, idx, :] = True
     own[idx, :, idx] = True
     own |= np.eye(n, dtype=bool)[None, :, :]  # repeated participant
-    viol = np.argwhere((b != 0.0) & own)
-    if viol.size:
-        i, j, k = map(int, viol[0])
-        yield ("2-interaction participants", SelfLoopError(
-            f"2-interaction matrix {i} may only weight pairs of two other agents: "
-            f"entry ({j},{k}) is nonzero"),
-            f"first offender agent {i}, pair ({j},{k})")
-    else:
-        yield ("2-interaction participants", None, "")
+    return _first((b != 0.0) & own)
 
-    negb = np.argwhere(b < 0.0)
-    if negb.size:
-        i, j, k = map(int, negb[0])
-        yield ("2-interaction nonnegativity", NegativeWeightError(
-            f"2-interaction weights must be nonnegative: agent {i}, entry ({j},{k})"),
-            f"first offender agent {i}, pair ({j},{k})")
-    else:
-        yield ("2-interaction nonnegativity", None, "")
 
-    yield _positive_degrees(deg)
+# One row per structural requirement, in report order: its name, the error it
+# raises, a finder that maps (a2, b, degrees) to the first offender's fields
+# (None when the requirement holds), and the message and report detail those
+# fields are formatted into.
+_Check = namedtuple("_Check", "name error find message detail")
+_CHECKS = (
+    _Check("finite weights", NonFiniteWeightError, _non_finite,
+           "weights must be finite: {0} is not", "first offender {0}"),
+    _Check("pairwise symmetry", AsymmetryError, lambda a2, b, deg: _first(a2 != a2.T),
+           "pairwise adjacency must be symmetric: entries ({0},{1}) and ({1},{0}) differ",
+           "first offender ({0},{1})"),
+    _Check("pairwise null diagonal", SelfLoopError,
+           lambda a2, b, deg: _first(np.diag(a2) != 0.0),
+           "pairwise adjacency must have zero diagonal: entry ({0},{0}) is nonzero",
+           "first offender ({0},{0})"),
+    _Check("pairwise nonnegativity", NegativeWeightError, lambda a2, b, deg: _first(a2 < 0.0),
+           "pairwise weights must be nonnegative: entry ({0},{1}) is negative",
+           "first offender ({0},{1})"),
+    _Check("pairwise connectivity", DisconnectedError,
+           lambda a2, b, deg: None if is_connected(a2 != 0.0) else (),
+           "pairwise support graph must connect all agents", ""),
+    _Check("2-interaction symmetry", AsymmetryError,
+           lambda a2, b, deg: _first(b != np.transpose(b, (0, 2, 1))),
+           "2-interaction matrix {0} must be symmetric: entries ({1},{2}) and ({2},{1}) differ",
+           "first offender agent {0}, pair ({1},{2})"),
+    _Check("2-interaction participants", SelfLoopError, _own_participant,
+           "2-interaction matrix {0} may only weight pairs of two other agents: "
+           "entry ({1},{2}) is nonzero", "first offender agent {0}, pair ({1},{2})"),
+    _Check("2-interaction nonnegativity", NegativeWeightError,
+           lambda a2, b, deg: _first(b < 0.0),
+           "2-interaction weights must be nonnegative: agent {0}, entry ({1},{2})",
+           "first offender agent {0}, pair ({1},{2})"),
+    _Check("positive degrees", ZeroDegreeError, lambda a2, b, deg: _first(deg <= 0.0),
+           "agent {0} has generalized degree 0", "agent {0}"),
+)
+
+
+def _run_checks(a2, b, deg, checks=_CHECKS):
+    """Yield (name, error_or_None, detail) for each of ``checks``, given the
+    generalized degrees ``deg``."""
+    for check in checks:
+        hit = check.find(a2, b, deg)
+        if hit is None:
+            yield check.name, None, ""
+        else:
+            yield (check.name, check.error(check.message.format(*hit)),
+                   check.detail.format(*hit))
+
+
+def _raise_first(a2, b, deg, checks=_CHECKS):
+    for _, err, _ in _run_checks(a2, b, deg, checks):
+        if err is not None:
+            raise err
 
 
 def validation_report(a2, b) -> list[CheckResult]:
     """Run every structural check and report instead of raising."""
     a2, b, pair_mass, tri_mass = _arrays(a2, b)
-    out = []
-    for name, err, detail in _run_checks(a2, b, pair_mass + tri_mass):
-        out.append(CheckResult(name, err is None, detail if err else ""))
-    return out
+    return [CheckResult(name, err is None, detail)
+            for name, err, detail in _run_checks(a2, b, pair_mass + tri_mass)]
 
 
 def compute_degrees(a2, b) -> np.ndarray:
     """Generalized degrees: pairwise row sums plus full 2-interaction mass."""
     _, _, pair_mass, tri_mass = _arrays(a2, b)
     deg = pair_mass + tri_mass
-    _, err, _ = _positive_degrees(deg)
-    if err is not None:
-        raise err
+    _raise_first(None, None, deg, _CHECKS[-1:])
     return deg
 
 
@@ -251,9 +248,7 @@ def build(a2, b) -> Hypergraph2:
     a2, b, pair_mass, tri_mass = _arrays(a2, b)
     a2, b = a2.copy(), b.copy()
     deg = pair_mass + tri_mass
-    for _, err, _ in _run_checks(a2, b, deg):
-        if err is not None:
-            raise err
+    _raise_first(a2, b, deg)
     alpha = _detect_alpha(pair_mass, tri_mass)
     for arr in (a2, b, deg):
         arr.setflags(write=False)
@@ -435,7 +430,11 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
 
 def from_text(text: str) -> Hypergraph2:
     """Parse the sectioned text format and rebuild (revalidating everything)."""
-    a2, b, header_alpha = parse_arrays(text)
+    return _from_parsed(*parse_arrays(text))
+
+
+def _from_parsed(a2, b, header_alpha) -> Hypergraph2:
+    """build() parsed arrays and check the ratio against the header's."""
     g = build(a2, b)
     if header_alpha is None:
         if g.alpha is not None:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, MultiplicityError, NotSymmetricError
-from .hypergraph import Hypergraph2
+from .hypergraph import Hypergraph2, _received_mass
 
 __all__ = [
     "Spectrum",
@@ -136,8 +136,7 @@ def h_matrix(g: Hypergraph2) -> np.ndarray:
     """Combined influence matrix: row i is (pairwise row i + mass agent i
     assigns to each peer over 2-interactions) divided by the degree.
     Row-stochastic by construction."""
-    received = g.b.sum(axis=1)  # (i, k): total weight of k inside agent i's pairs
-    return (g.a2 + received) / g.degrees[:, None]
+    return (g.a2 + _received_mass(g)) / g.degrees[:, None]
 
 
 def thresholds(g: Hypergraph2) -> Thresholds:

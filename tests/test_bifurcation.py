@@ -228,6 +228,15 @@ def test_basin_probe_single_switch(inst5, tanh):
     assert switched == [r > 0.1935 for r in radii]
 
 
+def test_basin_probe_at_large_effort_reaches_the_upper_state(inst5, tanh):
+    # every start ends on the upper consensus state, c = pi to rounding
+    s = SystemInstance(graph=inst5, psi=tanh, pi=60.0)
+    report = basin_probe(s, [0.05, 2.0, 70.0])
+    assert report.labels == ("upper", "upper", "upper")
+    for x in report.finals:
+        assert np.abs(x - 60.0).max() < 1e-9
+
+
 def test_diagram_csv_layout(small_sweep):
     text = diagram_csv(small_sweep)
     lines = text.strip().splitlines()

@@ -108,6 +108,23 @@ def test_simulate_requires_pi(inst_file, tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command, args, config", [
+    ("sweep", ["--pi-step", "1e-9"], None),
+    ("simulate", ["--pi", "1", "--x0", "list:1,2"], None),
+    ("simulate", [], None),
+    ("equilibria", [], "pi 1.7\n"),
+], ids=["grid", "x0", "missing-pi", "config-line"])
+def test_usage_errors_show_the_command_usage(inst_file, tmp_path, capsys, command, args,
+                                             config):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", str(tmp_path / "run.cfg")]
+    with pytest.raises(SystemExit) as err:
+        run([command, inst_file, *args, "--out-dir", str(tmp_path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: hyperdecide {command} ")
+
+
 def test_simulate_writes_trajectory(inst_file, tmp_path, capsys):
     rc = run(["simulate", inst_file, "--pi", "1.7", "--x0", "consensus:0.05",
               "--out-dir", str(tmp_path)])

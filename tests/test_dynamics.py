@@ -180,6 +180,14 @@ def test_integrate_blowup_guard(inst5, tanh):
         integrate(s, 2e6 * np.ones(5))
 
 
+def test_integrate_guard_scales_with_effort(inst5, tanh):
+    # the exact run stays within max(|x0|, pi) = 2e6, and passes the guard's
+    # 1e6 floor on its way up
+    s = _sys(inst5, 2e6, tanh)
+    traj = integrate(s, np.ones(5), t_max=1.0)
+    assert 1e6 < np.abs(traj.states).max() <= 2e6
+
+
 def test_integrate_rk4_order(inst5, tanh):
     # halving dt should shrink the error roughly 16x; accept > 8x
     s = _sys(inst5, 1.7, tanh)

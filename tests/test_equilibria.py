@@ -167,6 +167,17 @@ def test_roots_empty_below_fold_and_pair_above():
         assert len(above) == 2
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("pi", [60.0, 1e3])
+def test_consensus_roots_find_the_upper_root_at_large_effort(alpha, pi):
+    # psi rounds to 1 long before pi, so the root sits at pi itself
+    r = ScalarReduced(alpha=alpha, pi=pi)
+    roots = consensus_roots(r)
+    ref = brentq(lambda e: float(consensus_gap(r, e)), 20.0, 2.0 * pi, xtol=1e-14)
+    assert len(roots) == 1
+    assert abs(roots[0] - ref) < 1e-10
+
+
 def test_consensus_roots_none_on_pitchfork_at_unit_effort():
     # at alpha = 0 the balance tanh(c) - c is below zero for every c > 0,
     # even where it rounds to exactly zero near the origin

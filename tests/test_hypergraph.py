@@ -15,6 +15,7 @@ from hyperdecide.errors import (
     NegativeWeightError,
     NonFiniteWeightError,
     SelfLoopError,
+    ZeroDegreeError,
 )
 from hyperdecide.hypergraph import compute_degrees, is_connected, parse_arrays
 
@@ -129,6 +130,69 @@ def test_validation_report_lists_all_failures():
     # every check ran, pass or fail (finite weights first)
     assert len(report) == 9
     assert report[0].name == "finite weights" and report[0].passed
+
+
+def _defect(pairs=(), triples=()):
+    """K4 with zero triples, then each listed entry set: ((i, j), w) in the
+    pairwise matrix, ((i, j, k), w) in the triple tensor."""
+    a2, b = _k4(), np.zeros((4, 4, 4))
+    for at, w in pairs:
+        a2[at] = w
+    for at, w in triples:
+        b[at] = w
+    return a2, b
+
+
+def _two_pairs():
+    a2 = np.zeros((4, 4))
+    a2[0, 1] = a2[1, 0] = a2[2, 3] = a2[3, 2] = 1.0
+    return a2, np.zeros((4, 4, 4))
+
+
+# One input per structural check, in report order: the check it fails, the
+# error with its exact message, and the report's exact detail. No negative-free
+# connected instance has a zero degree, so the last input also fails
+# 2-interaction nonnegativity, and its degree error comes from compute_degrees.
+_STRUCTURAL_DEFECTS = [
+    (_defect(pairs=[((1, 2), np.inf), ((2, 1), np.inf)]), "finite weights",
+     NonFiniteWeightError, "weights must be finite: pairwise entry (1, 2) is not",
+     "first offender pairwise entry (1, 2)"),
+    (_defect(pairs=[((1, 3), 2.0)]), "pairwise symmetry", AsymmetryError,
+     "pairwise adjacency must be symmetric: entries (1,3) and (3,1) differ",
+     "first offender (1,3)"),
+    (_defect(pairs=[((2, 2), 1.0)]), "pairwise null diagonal", SelfLoopError,
+     "pairwise adjacency must have zero diagonal: entry (2,2) is nonzero",
+     "first offender (2,2)"),
+    (_defect(pairs=[((1, 3), -0.5), ((3, 1), -0.5)]), "pairwise nonnegativity",
+     NegativeWeightError, "pairwise weights must be nonnegative: entry (1,3) is negative",
+     "first offender (1,3)"),
+    (_two_pairs(), "pairwise connectivity", DisconnectedError,
+     "pairwise support graph must connect all agents", ""),
+    (_defect(triples=[((2, 0, 3), 1.0)]), "2-interaction symmetry", AsymmetryError,
+     "2-interaction matrix 2 must be symmetric: entries (0,3) and (3,0) differ",
+     "first offender agent 2, pair (0,3)"),
+    (_defect(triples=[((2, 1, 2), 1.0), ((2, 2, 1), 1.0)]), "2-interaction participants",
+     SelfLoopError,
+     "2-interaction matrix 2 may only weight pairs of two other agents: "
+     "entry (1,2) is nonzero", "first offender agent 2, pair (1,2)"),
+    (_defect(triples=[((3, 0, 2), -1.0), ((3, 2, 0), -1.0)]), "2-interaction nonnegativity",
+     NegativeWeightError, "2-interaction weights must be nonnegative: agent 3, entry (0,2)",
+     "first offender agent 3, pair (0,2)"),
+    (_defect(triples=[((1, 0, 3), -1.5), ((1, 3, 0), -1.5)]), "positive degrees",
+     ZeroDegreeError, "agent 1 has generalized degree 0", "agent 1"),
+]
+
+
+@pytest.mark.parametrize("arrays, name, error, message, detail", _STRUCTURAL_DEFECTS,
+                         ids=[case[1] for case in _STRUCTURAL_DEFECTS])
+def test_each_structural_check_names_its_first_offender(arrays, name, error, message, detail):
+    degree_only = name == "positive degrees"
+    with pytest.raises(error) as info:
+        (compute_degrees if degree_only else hd.build)(*arrays)
+    assert str(info.value) == message
+    failed = {r.name: r.detail for r in hd.validation_report(*arrays) if not r.passed}
+    assert failed[name] == detail
+    assert set(failed) == ({name, "2-interaction nonnegativity"} if degree_only else {name})
 
 
 def test_is_connected_matches_reachability_bruteforce():
