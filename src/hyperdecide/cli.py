@@ -187,11 +187,20 @@ def _cmd_thresholds(run, parser):
     return 0
 
 
-def _cmd_simulate(run, parser):
+def _system(run, parser):
+    """The instance file's system at effort ``run["pi"]``; a level too large
+    for the equilibrium search's finite ranges is a usage error."""
     g = load(run["file"])
-    s = SystemInstance(graph=g, psi=tanh_family(), pi=run["pi"])
     try:
-        x0 = _parse_x0(run["x0"], g.n)
+        return SystemInstance(graph=g, psi=tanh_family(), pi=run["pi"])
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _cmd_simulate(run, parser):
+    s = _system(run, parser)
+    try:
+        x0 = _parse_x0(run["x0"], s.graph.n)
     except ValueError as exc:
         parser.error(str(exc))
     traj = integrate(s, x0, dt=run["dt"], t_max=run["t_max"])
@@ -203,8 +212,7 @@ def _cmd_simulate(run, parser):
 
 
 def _cmd_equilibria(run, parser):
-    g = load(run["file"])
-    eqs = find_all(SystemInstance(graph=g, psi=tanh_family(), pi=run["pi"]))
+    eqs = find_all(_system(run, parser))
     path = os.path.join(run["out_dir"], run["out"])
     write_equilibria_csv(eqs, path)
     print(f"wrote {path} count={len(eqs)}")

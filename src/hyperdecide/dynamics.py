@@ -11,12 +11,13 @@ abort if any component passes max(1e6, 10 pi) in magnitude or turns NaN.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .hypergraph import Hypergraph2, _pair_rows
+from .hypergraph import Hypergraph2, _pair_rows, _triple_term
 from .nonlinearity import SigmoidFamily
 
 __all__ = [
@@ -55,6 +56,9 @@ class SystemInstance:
     def __post_init__(self):
         if not self.pi > 0.0:
             raise ValueError(f"effort level must be positive, got {self.pi!r}")
+        if not math.isfinite(2.0 * (float(self.pi) + 1.0)):
+            raise ValueError(f"effort level {self.pi!r} is too large: the equilibrium "
+                             "search's seed box +-(pi + 1) has no finite width")
 
 
 @dataclass(frozen=True)
@@ -80,18 +84,14 @@ def _one_state(s: SystemInstance, x) -> np.ndarray:
     return x
 
 
-def _matvec(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a @ p for one state p (n,), or row by row for a stack (m, n) so that no
-    row's last bits depend on the stack height, as with a matrix product."""
-    return a @ p if p.ndim == 1 else (a @ p[..., None])[..., 0]
-
-
 def vector_field(s: SystemInstance, x) -> np.ndarray:
     """Time derivative of a state (n,), or of every row of a stack (m, n)."""
     x = _check_state(s, x)
     p = s.psi.eval(x)
-    quad = _matvec(_pair_rows(s.graph, p), p)
-    return -s.graph.degrees * x + s.pi * (_matvec(s.graph.a2, p) + quad)
+    # one matrix-vector product per row: a matrix product would give a row
+    # different last bits depending on the stack height
+    pair = s.graph.a2 @ p if p.ndim == 1 else (s.graph.a2 @ p[..., None])[..., 0]
+    return s.pi * (pair + _triple_term(s.graph, p)) - s.graph.degrees * x
 
 
 def jacobian(s: SystemInstance, x) -> np.ndarray:

@@ -15,13 +15,14 @@ by the spectrum of the Jacobian.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import NewtonDivergence, SingularJacobian
-from .hypergraph import Hypergraph2, _pair_rows
+from .hypergraph import Hypergraph2, _triple_term
 from .nonlinearity import SigmoidFamily, tanh_family
 from .dynamics import RESIDUAL_TOL, SystemInstance, _one_state, jacobian, vector_field
 from .spectra import general_eigenvalues, perron_pair
@@ -42,11 +43,16 @@ __all__ = [
 ]
 
 _NEWTON_ITMAX = 100
+# Floor of the blow-up guard max(1e12, 10 pi): every equilibrium lies within
+# pi of the origin, since |psi| <= 1.
+_NEWTON_BLOWUP = 1e12
 _RESIDUAL_FLOOR = 1e-13
 _STEP_FLOOR = 1e-9
 _STABLE_TOL = 1e-8
 _CONSENSUS_TOL = 1e-8
+# states closer than max(1e-6, 1e-12 |y|_inf) to a kept state y are merged
 _DEDUP_TOL = 1e-6
+_DEDUP_RTOL = 1e-12
 _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 
@@ -63,6 +69,9 @@ class ScalarReduced:
             raise ValueError("alpha must be nonnegative")
         if not self.pi > 0.0:
             raise ValueError("effort level must be positive")
+        if not math.isfinite(2.0 * float(self.pi)):
+            raise ValueError(f"effort level {self.pi!r} is too large: the root "
+                             "bracket max(50, 2 pi) is not finite")
 
 
 @dataclass(frozen=True)
@@ -178,12 +187,14 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
 def _newton_rows(s: SystemInstance, X0):
     """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
     following the iteration it would follow alone until it is done. Returns
-    states, residuals and causes: 'converged', 'diverged' (blow-up or 100
-    iterations), 'singular' or 'stalled' (no damping helps); the last two
-    count as converged below 1e-10. A row polishes below 1e-10 until its full
-    Newton step is negligible: along near-singular directions the residual
-    underestimates the distance to the solution by orders of magnitude."""
+    states, residuals and causes: 'converged', 'diverged' (a component past
+    max(1e12, 10 pi), or 100 iterations), 'singular' or 'stalled' (no damping
+    helps); the last two count as converged below 1e-10. A row polishes
+    below 1e-10 until its full Newton step is negligible: along near-singular
+    directions the residual underestimates the distance to the solution by
+    orders of magnitude."""
     x = np.array(X0, dtype=float)
+    limit = max(_NEWTON_BLOWUP, 10.0 * s.pi)
     fx = vector_field(s, x)
     res = np.abs(fx).max(axis=1)
     step_inf = np.full(len(x), np.inf)
@@ -193,7 +204,7 @@ def _newton_rows(s: SystemInstance, X0):
         done = (res[live] < _RESIDUAL_FLOOR) & (step_inf[live] < _STEP_FLOOR)
         cause[live[done]] = "converged"
         live = live[~done]
-        live = live[(np.abs(x[live]).max(axis=1) <= 1e12) & np.isfinite(res[live])]
+        live = live[(np.abs(x[live]).max(axis=1) <= limit) & np.isfinite(res[live])]
         if not live.size:
             break
         j, rhs = jacobian(s, x[live]), -fx[live]
@@ -326,7 +337,8 @@ def _enumerate_seeds(s: SystemInstance, spec: SeedSpec) -> list[np.ndarray]:
 
 def find_all(s: SystemInstance, seeds: Optional[SeedSpec] = None) -> list[Equilibrium]:
     """Newton from every seed, all seeds advancing together as one stack,
-    deduplicated in seed order (sup distance 1e-6) and sorted by sup norm.
+    deduplicated in seed order (sup distance max(1e-6, 1e-12 |y|_inf) to a
+    kept state y) and sorted by sup norm.
     Seeds that diverge are dropped silently; reordering the seed set cannot
     change the result beyond its guaranteed sorting."""
     spec = seeds or SeedSpec()
@@ -334,7 +346,9 @@ def find_all(s: SystemInstance, seeds: Optional[SeedSpec] = None) -> list[Equili
     found: list[np.ndarray] = []
     residuals: list[float] = []
     for x, res, cause in zip(xs, ress, causes):
-        if cause != "converged" or any(np.abs(x - y).max() < _DEDUP_TOL for y in found):
+        if cause != "converged" or any(
+                np.abs(x - y).max() < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max())
+                for y in found):
             continue
         found.append(x)
         residuals.append(float(res))
@@ -357,13 +371,13 @@ def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> t
     psi = psi or tanh_family()
     lam, v, w = perron_pair(g)
     level = 1.0 / lam
-    quad = float(level * np.sum((w / g.degrees) * (_pair_rows(g, v) @ v)))
+    quad = float(level * np.sum((w / g.degrees) * _triple_term(g, v)))
 
     wd = w / g.degrees
 
     def reduced(y: float) -> float:
         p = psi.eval(y * v)
-        return float(level * wd @ (g.a2 @ p + _pair_rows(g, p) @ p))
+        return float(level * wd @ (g.a2 @ p + _triple_term(g, p)))
 
     h = 0.05
     coeff = np.array([1.0 / 8.0, -1.0, 13.0 / 8.0, -13.0 / 8.0, 1.0, -1.0 / 8.0])

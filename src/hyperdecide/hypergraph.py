@@ -8,6 +8,14 @@ receives over both orders. When every agent's 2-interaction budget is the
 same multiple ``alpha`` of its pairwise budget, that multiple is detected
 and stored; several analysis routines are only available in that regime.
 
+This is the only module that reads the triples. ``build`` validates the
+dense ``b`` and derives from it, once, the incidence list ``triples``: the
+nonzero weights ``w = b[i, j, k]`` with j < k, sorted by (i, j, k). Every
+contraction (the field's triple term, ``b @ p`` for the Jacobian and the
+normal form, the received mass of ``h_matrix``) sums over that list, so
+its cost grows with the number of triples rather than with n^3. The dense
+``b`` stays for validation, the text format and ``scale_two_interactions``.
+
 Text serialization is line oriented::
 
     n=3 alpha=1
@@ -26,8 +34,8 @@ round trip exactly. ``alpha=none`` marks the non-proportional case.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,6 +53,7 @@ from .errors import (
 
 __all__ = [
     "Hypergraph2",
+    "Triples",
     "CheckResult",
     "build",
     "compute_degrees",
@@ -62,36 +71,99 @@ __all__ = [
 # relative tolerance for detecting a shared 2-interaction ratio
 _ALPHA_RTOL = 1e-10
 # Largest dense (n, n, n) triple tensor random_instance draws: 1 GiB, 512
-# agents. build copies it and validation makes n^3 masks beside it, and every
-# field or Jacobian row streams it once.
+# agents. The text format holds it and build copies it and makes n^3
+# validation masks beside it.
 MAX_TENSOR_BYTES = 1 << 30
 MAX_AGENTS = round((MAX_TENSOR_BYTES / 8) ** (1 / 3))
 
 
+class Triples(NamedTuple):
+    """The nonzero 2-interaction weights ``w = b[i, j, k]`` with j < k, sorted
+    by (i, j, k), and the index arrays the contractions sum them with.
+
+    The field's triple term of agent i sums ``term_w * p[term_j] * p[term_k]``
+    over the segment of agent i that starts at ``term_starts[i]``: the list
+    with doubled weights, plus one zero-weight entry for each agent without
+    triples so that no segment is empty. Entry (i, j) of b @ p sums
+    ``w2[e] * p[src[e]]`` over the entries e with ``dest[e] = i * n + j``.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    w: np.ndarray
+    term_j: np.ndarray
+    term_k: np.ndarray
+    term_w: np.ndarray
+    term_starts: np.ndarray
+    dest: np.ndarray
+    src: np.ndarray
+    w2: np.ndarray
+
+
+def _triple_list(b: np.ndarray) -> Triples:
+    n = b.shape[0]
+    # C order, so sorted by (i, j, k); a boolean mask is the fast nonzero scan
+    i, j, k = np.unravel_index(np.flatnonzero(b != 0.0), b.shape)
+    upper = j < k
+    i, j, k = i[upper], j[upper], k[upper]
+    w = b[i, j, k]
+    bare = np.flatnonzero(np.bincount(i, minlength=n) == 0)
+    term_i, term_j, term_k = (np.concatenate((x, bare)) for x in (i, j, k))
+    term_w = np.concatenate((2.0 * w, np.zeros(bare.size)))
+    order = np.argsort(term_i, kind="stable")
+    arrays = Triples(i, j, k, w, term_j[order], term_k[order], term_w[order],
+                     np.searchsorted(term_i[order], np.arange(n)),
+                     np.concatenate((i * n + j, i * n + k)), np.concatenate((k, j)),
+                     np.concatenate((w, w)))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class Hypergraph2:
-    """Validated instance. Arrays are read-only; build() is the constructor."""
+    """Validated instance. Arrays are read-only; build() is the constructor
+    and derives ``triples`` from ``b``."""
 
     a2: np.ndarray
     b: np.ndarray
     degrees: np.ndarray
     alpha: Optional[float]
+    triples: Triples = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.a2.shape[0]
 
 
+# The sums below run in a fixed order over each row's own entries (a segment
+# of np.add.reduceat, a bin of np.bincount), never through a BLAS product, so
+# a row of a stack (m, n) gets the same bits as the state alone.
+
+def _triple_term(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
+    """sum_jk b[i, j, k] p_j p_k for every agent i, for one state p (n,) or
+    every row of a stack (m, n)."""
+    t = g.triples
+    # the same gathered values either way; p[idx] is numpy's fast path for one state
+    pj, pk = ((p[t.term_j], p[t.term_k]) if p.ndim == 1 else
+              (p.take(t.term_j, axis=-1), p.take(t.term_k, axis=-1)))
+    return np.add.reduceat(pj * pk * t.term_w, t.term_starts, axis=-1)
+
+
 def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
     """b @ p, (n, n) or (m, n, n): row i is agent i's 2-interaction mass against
-    p (n,), or against each row of a stack p (m, n), one contraction per row so
-    that no row's bits depend on the stack height."""
-    return g.b @ p if p.ndim == 1 else (g.b @ p[:, None, :, None])[..., 0]
+    p (n,), or against each row of a stack p (m, n)."""
+    t, n = g.triples, g.n
+    rows = p.size // n
+    bins = np.arange(0, rows * n * n, n * n)[:, None] + t.dest
+    v = p.take(t.src, axis=-1) * t.w2
+    return np.bincount(bins.ravel(), v.ravel(), rows * n * n).reshape(p.shape + (n,))
 
 
 def _received_mass(g: Hypergraph2) -> np.ndarray:
     """(i, k): total weight agent i puts on pairs that hold agent k."""
-    return g.b.sum(axis=1)
+    return _pair_rows(g, np.ones(g.n))
 
 
 @dataclass(frozen=True)
@@ -252,7 +324,9 @@ def build(a2, b) -> Hypergraph2:
     alpha = _detect_alpha(pair_mass, tri_mass)
     for arr in (a2, b, deg):
         arr.setflags(write=False)
-    return Hypergraph2(a2=a2, b=b, degrees=deg, alpha=alpha)
+    g = Hypergraph2(a2=a2, b=b, degrees=deg, alpha=alpha)
+    object.__setattr__(g, "triples", _triple_list(b))
+    return g
 
 
 def random_instance(n: int, p2: float, p3: float, alpha: float, seed: int) -> Hypergraph2:

@@ -262,6 +262,8 @@ SMALL_GRID = ["--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1"]
     ("sweep", SMALL_GRID + ["--svg", "d.svg"], "svg_coord", "5"),  # inst5 has 5 agents
     ("generate", [], "n", "3000"),  # a 201 GiB triple tensor
     ("sweep", [], "pi_step", "1e-9"),  # 4 995 000 001 effort levels
+    ("equilibria", [], "pi", "9e307"),  # 2 (pi + 1), the seed box width, overflows
+    ("simulate", [], "pi", "9e307"),
 ])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_out_of_range_values_are_usage_errors(command, flags, key, value, given_as,

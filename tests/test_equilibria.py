@@ -341,6 +341,23 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
         assert a.classification == b.classification
 
 
+@pytest.mark.parametrize("pi, outcome", [
+    (1e10, ["unstable", "stable"]),  # an absolute 1e-6 merge listed the upper state twice
+    (1e13, ["unstable", "stable"]),  # a fixed 1e12 blow-up guard lost the upper state
+    (9e307, ValueError),  # 2 (pi + 1) overflows: the seed box and root bracket are not finite
+])
+def test_find_all_at_huge_effort_levels(inst5, tanh, pi, outcome):
+    if outcome is ValueError:
+        with pytest.raises(ValueError, match="too large"):
+            SystemInstance(graph=inst5, psi=tanh, pi=pi)
+        with pytest.raises(ValueError, match="too large"):
+            ScalarReduced(alpha=inst5.alpha, pi=pi)
+        return
+    eqs = find_all(SystemInstance(graph=inst5, psi=tanh, pi=pi))
+    assert [eq.classification for eq in eqs] == outcome
+    assert np.abs(eqs[1].state / pi - 1.0).max() < 1e-12  # the decision state pi * ones
+
+
 def test_equilibrium_residual_contract(inst5, tanh):
     with pytest.raises(ValueError):
         Equilibrium(state=np.zeros(5), pi=1.0, residual=1e-8,

@@ -39,6 +39,17 @@ def test_build_arrays_read_only(inst5):
         inst5.b[0, 1, 2] = 5.0
 
 
+def test_build_derives_the_sorted_triple_list(inst5, mixed_ratio, c5):
+    for g in (inst5, mixed_ratio, c5):
+        t = g.triples
+        expected = [(i, j, k) for i, j, k in itertools.product(range(g.n), repeat=3)
+                    if j < k and g.b[i, j, k] != 0.0]
+        assert list(zip(t.i.tolist(), t.j.tolist(), t.k.tolist())) == expected
+        assert np.array_equal(t.w, g.b[t.i, t.j, t.k])
+        assert not t.w.flags.writeable
+        assert "triples" not in repr(g)
+
+
 def test_build_rejects_small_or_misshapen():
     with pytest.raises(DimensionError):
         hd.build(np.zeros((1, 1)), np.zeros((1, 1, 1)))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hyperdecide as hd
 from hyperdecide.dynamics import SystemInstance, jacobian, vector_field
 from hyperdecide.equilibria import ScalarReduced, consensus_roots, find_all, pi1_star
+from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
 
 ORDER_TOL = 1e-12
@@ -24,6 +25,56 @@ def instances(draw):
     alpha = 0.0 if n == 2 else draw(st.floats(0.0, 3.0))
     return hd.random_instance(n, draw(st.floats(0.5, 1.0)), draw(st.floats(0.3, 1.0)),
                               alpha, draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def triple_lists(draw):
+    """A drawn instance as it is, without triples (alpha = 0), or with agent
+    0's triples removed, so that agent has empty sums."""
+    g = draw(instances())
+    b = np.array(g.b)
+    cut = draw(st.sampled_from(["none", "all", "agent 0"]))
+    if cut == "all":
+        b[:] = 0.0
+    elif cut == "agent 0":
+        b[0] = 0.0
+    return hd.build(g.a2, b)
+
+
+CONTRACTION_RTOL = 1e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=triple_lists(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
+def test_triple_contractions_match_einsum(g, seed, m):
+    # each sum is compared on the scale of its terms' magnitudes
+    P = np.tanh(np.random.default_rng(seed).uniform(-3.0, 3.0, (m, g.n)))
+    for p in (P, P[0]):
+        term = np.einsum("ijk,...j,...k->...i", g.b, p, p)
+        scale = np.einsum("ijk,...j,...k->...i", g.b, np.abs(p), np.abs(p))
+        assert np.all(np.abs(_triple_term(g, p) - term) <= CONTRACTION_RTOL * scale)
+        rows = np.einsum("ijk,...k->...ij", g.b, p)
+        scale = np.einsum("ijk,...k->...ij", g.b, np.abs(p))
+        assert np.all(np.abs(_pair_rows(g, p) - rows) <= CONTRACTION_RTOL * scale)
+    mass = g.b.sum(axis=1)
+    assert np.all(np.abs(_received_mass(g) - mass) <= CONTRACTION_RTOL * mass)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=triple_lists(), pi=st.floats(0.2, 5.0), seed=st.integers(0, 2**32 - 1),
+       m=st.integers(1, 12))
+def test_stacked_rows_equal_one_row_calls(g, pi, seed, m):
+    # bitwise, for every stack height up to m: no row depends on the others
+    s = SystemInstance(graph=g, psi=hd.tanh_family(), pi=pi)
+    X = np.random.default_rng(seed).uniform(-(pi + 1.0), pi + 1.0, (m, g.n))
+    P = np.tanh(X)
+    calls = [(lambda x: _triple_term(g, x), P), (lambda x: _pair_rows(g, x), P),
+             (lambda x: vector_field(s, x), X), (lambda x: jacobian(s, x), X)]
+    for fn, rows in calls:
+        alone = [fn(row) for row in rows]
+        for height in range(1, m + 1):
+            stacked = fn(rows[:height])
+            assert all(np.array_equal(stacked[r], alone[r]) for r in range(height))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
