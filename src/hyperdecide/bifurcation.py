@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DimensionError, NewtonDivergence, NoBistabilityError, SingularJacobian
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-from .dynamics import SystemInstance, integrate
+# integrate is not called here; benchmarks/tracing.py binds it by this name
+from .dynamics import SystemInstance, _rk4_rows, integrate
 from .equilibria import (
     Equilibrium,
     ScalarReduced,
@@ -283,8 +284,10 @@ class BasinReport:
 
 
 def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
-    """Integrate from c * ones per radius and label the attractor reached."""
-    ones = np.ones(s.graph.n)
+    """Integrate from c * ones for every radius c and label the attractor
+    reached. All radii run as one RK4 stack (``_rk4_rows``); each row's run
+    is bitwise the one ``integrate`` gives from that start alone."""
+    radii = tuple(float(c) for c in radii)
     target = None
     if s.graph.alpha is not None:
         try:
@@ -293,8 +296,7 @@ def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
             pass
     labels = []
     finals = []
-    for c in radii:
-        traj = integrate(s, float(c) * ones)
+    for traj in _rk4_rows(s, np.outer(radii, np.ones(s.graph.n))):
         x = traj.states[-1]
         finals.append(x)
         if not traj.converged:
@@ -305,8 +307,7 @@ def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
             labels.append("upper")
         else:
             labels.append("other")
-    return BasinReport(radii=tuple(float(c) for c in radii),
-                       labels=tuple(labels), finals=tuple(finals))
+    return BasinReport(radii=radii, labels=tuple(labels), finals=tuple(finals))
 
 
 def diagram_csv(result: SweepResult) -> str:

@@ -4,9 +4,12 @@ Agent i relaxes toward the effort-weighted influence it receives: pairwise
 terms push with the transmitted states of its neighbors, 2-interaction terms
 with products of transmitted states over its weighted pairs. Field and
 Jacobian take one state (n,) or a stack of states (m, n), row by row. The
-integrator runs one state by classical 4th-order Runge-Kutta with a fixed
-step; runs stop early once the field residual drops below tolerance, and
-abort if any component passes max(1e6, 10 pi) in magnitude or turns NaN.
+integrator is classical 4th-order Runge-Kutta with a fixed step, run on a
+stack of starts (``_rk4_rows``) whose rows advance together; ``integrate``
+is its one-state case. Each row stops once its field residual drops below
+tolerance, and the run aborts when a row passes max(1e6, 10 pi, 10 |x0|_inf)
+in magnitude or turns NaN. Every row's result is bitwise the run from that
+start alone.
 """
 from __future__ import annotations
 
@@ -33,9 +36,9 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# Floor of the blow-up guard max(1e6, 10 pi). Since |psi| <= 1, an exact
-# trajectory stays within max(|x0|, pi), so from a start inside the guard only
-# a failing numerical run passes it.
+# Floor of the blow-up guard max(1e6, 10 pi, 10 |x0|_inf). Since |psi| <= 1,
+# an exact trajectory stays within max(|x0|_inf, pi), so only a failing
+# numerical run passes the guard.
 _BLOWUP = 1e6
 # default RK4 step and horizon
 DT = 0.01
@@ -106,52 +109,92 @@ def jacobian(s: SystemInstance, x) -> np.ndarray:
     return j
 
 
-def integrate(s: SystemInstance, x0, dt: float = DT, t_max: float = T_MAX) -> Trajectory:
-    """Fixed-step 4th-order Runge-Kutta run from ``x0``.
+def _check_guard(x: np.ndarray, limit: np.ndarray, t: float) -> None:
+    """DivergenceError when a row of ``x`` (c, n), or a lone row (n,), has a
+    component past its guard in ``limit`` (c,) or one that is NaN."""
+    over = ~(np.abs(x.reshape(limit.size, -1)).max(axis=1) <= limit)
+    if over.any():
+        raise DivergenceError(f"state component exceeded {limit[over][0]:g} at t={t:.6g}")
 
-    Every accepted step is recorded. The run is converged when the field
-    residual falls below ``RESIDUAL_TOL`` before ``t_max``.
+
+def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> list:
+    """Fixed-step 4th-order Runge-Kutta runs from every row of ``X0`` (m, n),
+    advanced together; one Trajectory per row.
+
+    Each row keeps its own residual stop and its own blow-up guard
+    max(1e6, 10 pi, 10 |x0|_inf); a row that passes its guard or turns NaN
+    raises DivergenceError for the whole stack. A finished row leaves the
+    stack, so every row's result is bitwise the run from that row alone. A
+    lone row runs as one state (n,), the field's cheapest call. The history
+    grows by each step's live rows; it is never preallocated.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
-    x = _one_state(s, x0).copy()
+    x = np.array(_check_state(s, X0), ndmin=2)
     if not np.isfinite(x).all():
         raise ValueError("start state must be finite")
     steps = t_max / dt
     if not np.isfinite(steps):
         raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite step count")
     n_steps = int(round(steps))
-    limit = max(_BLOWUP, 10.0 * s.pi)
-    times = [0.0]
-    states = [x.copy()]
-    converged = False
-    residual = np.inf
+    m, n = x.shape
+    if not m:
+        return []
+    limit = np.maximum(max(_BLOWUP, 10.0 * s.pi), 10.0 * np.abs(x).max(axis=1))
+    floor = limit.min()  # no row passes its guard while |x|_inf stays below
+    live = np.arange(m)
+    last = np.full(m, n_steps)  # index of each row's last recorded state
+    residual = np.full(m, np.inf)
+    if m == 1:
+        x = x[0]
+    hist = [x]
+    cuts = [(0, live)]  # (first history index, rows stored from there on)
     for k in range(n_steps):
-        if not np.abs(x).max() <= limit:  # also true for NaN
-            raise DivergenceError(
-                f"state component exceeded {limit:g} at t={k * dt:.6g}")
+        if not np.abs(x).max() <= floor:
+            _check_guard(x, limit, k * dt)
         k1 = vector_field(s, x)
-        residual = float(np.abs(k1).max())
-        if residual < RESIDUAL_TOL:
-            converged = True
-            break
+        res = np.abs(k1).max(axis=-1)
+        done = res < RESIDUAL_TOL
+        if np.count_nonzero(done):
+            done, res = done.reshape(-1), res.reshape(-1)
+            last[live[done]], residual[live[done]] = k, res[done]
+            live = live[~done]
+            if not live.size:
+                break
+            x, k1, limit = x[~done], k1[~done], limit[~done]
+            if live.size == 1:
+                x, k1 = x[0], k1[0]
+            floor = limit.min()
+            cuts.append((len(hist), live))
         k2 = vector_field(s, x + 0.5 * dt * k1)
         k3 = vector_field(s, x + 0.5 * dt * k2)
         k4 = vector_field(s, x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((k + 1) * dt)
-        states.append(x.copy())
-    if not converged:
-        if not np.abs(x).max() <= limit:
-            raise DivergenceError(f"state component exceeded {limit:g} at t={t_max:.6g}")
-        residual = float(np.abs(vector_field(s, x)).max())
-        converged = residual < RESIDUAL_TOL
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        converged=converged,
-        final_residual=residual,
-    )
+        hist.append(x)
+    if live.size:  # rows that reached t_max
+        _check_guard(x, limit, t_max)
+        residual[live] = np.abs(vector_field(s, x)).max(axis=-1)
+    pieces = [[] for _ in range(m)]
+    for (a, rows), b in zip(cuts, [c for c, _ in cuts[1:]] + [len(hist)]):
+        block = np.stack(hist[a:b]).reshape(b - a, rows.size, n)
+        for pos, r in enumerate(rows):
+            pieces[r].append(block[:, pos])
+    return [Trajectory(times=np.arange(last[r] + 1) * dt,
+                       states=np.concatenate(pieces[r]),
+                       converged=bool(residual[r] < RESIDUAL_TOL),
+                       final_residual=float(residual[r]))
+            for r in range(m)]
+
+
+def integrate(s: SystemInstance, x0, dt: float = DT, t_max: float = T_MAX) -> Trajectory:
+    """Fixed-step 4th-order Runge-Kutta run from one state ``x0`` (n,).
+
+    Every accepted step is recorded. The run is converged when the field
+    residual falls below ``RESIDUAL_TOL`` before ``t_max``. It aborts with
+    DivergenceError once a component passes max(1e6, 10 pi, 10 |x0|_inf)
+    or turns NaN.
+    """
+    return _rk4_rows(s, _one_state(s, x0), dt, t_max)[0]
 
 
 def lyapunov_value(s: SystemInstance, x) -> float:

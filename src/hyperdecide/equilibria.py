@@ -49,7 +49,9 @@ _NEWTON_BLOWUP = 1e12
 _RESIDUAL_FLOOR = 1e-13
 _STEP_FLOOR = 1e-9
 _STABLE_TOL = 1e-8
+# a state whose spread is within max(1e-8, 1e-12 |x|_inf) lies on the consensus line
 _CONSENSUS_TOL = 1e-8
+_CONSENSUS_RTOL = 1e-12
 # states closer than max(1e-6, 1e-12 |y|_inf) to a kept state y are merged
 _DEDUP_TOL = 1e-6
 _DEDUP_RTOL = 1e-12
@@ -80,7 +82,8 @@ class Equilibrium:
 
     classification is 'stable' when the largest real part of the Jacobian
     spectrum is below -1e-8, 'unstable' above +1e-8, 'marginal' between.
-    is_consensus flags states within 1e-8 of the consensus line.
+    is_consensus flags states within max(1e-8, 1e-12 |x|_inf) of the
+    consensus line.
     """
 
     state: np.ndarray
@@ -285,7 +288,8 @@ def classify(s: SystemInstance, x, residual: Optional[float] = None) -> Equilibr
         residual=residual,
         classification=label,
         max_real_eig=top,
-        is_consensus=bool(np.abs(centered).max() <= _CONSENSUS_TOL),
+        is_consensus=bool(np.abs(centered).max()
+                          <= max(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(x).max())),
     )
 
 

@@ -152,17 +152,24 @@ def test_simulate_x0_specs(inst_file, tmp_path):
     assert err.value.code == 2
 
 
+# RK4 with dt = 2 blows up at pi = 1.7: the state passes 1e6 by t = 10
+BLOWUP = ["--pi", "1.7", "--x0", "consensus:1", "--dt", "2", "--t-max", "10"]
+
+
 def test_simulate_divergence_exit_code(inst_file, tmp_path):
-    huge = ",".join(["2000000"] * 5)
-    rc = run(["simulate", inst_file, "--pi", "1.7", "--x0", f"list:{huge}",
-              "--out-dir", str(tmp_path)])
+    rc = run(["simulate", inst_file, *BLOWUP, "--out-dir", str(tmp_path)])
     assert rc == 1
 
 
+def test_simulate_from_a_start_above_the_guard_floor(inst_file, tmp_path):
+    assert run(["simulate", inst_file, "--pi", "1", "--x0", "consensus:2e6",
+                "--out-dir", str(tmp_path)]) == 0
+    states = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:]
+    assert np.abs(states).max() <= 2e6
+
+
 def test_failed_run_leaves_no_manifest(inst_file, tmp_path):
-    huge = ",".join(["2000000"] * 5)
-    assert run(["simulate", inst_file, "--pi", "1.7", "--x0", f"list:{huge}",
-                "--out-dir", str(tmp_path)]) == 1
+    assert run(["simulate", inst_file, *BLOWUP, "--out-dir", str(tmp_path)]) == 1
     assert not (tmp_path / "simulate.manifest").exists()
     # the same command that succeeds writes it
     assert run(["simulate", inst_file, "--pi", "1.7", "--t-max", "1",

@@ -175,9 +175,22 @@ def test_integrate_time_grid(inst5, tanh):
 
 
 def test_integrate_blowup_guard(inst5, tanh):
+    # RK4 with dt = 2 is unstable here (degrees up to 3.02): the run from
+    # ones passes the guard's 1e6 floor by t = 10
     s = _sys(inst5, 1.7, tanh)
-    with pytest.raises(DivergenceError):
-        integrate(s, 2e6 * np.ones(5))
+    with pytest.raises(DivergenceError, match="exceeded 1e\\+06 at t=10"):
+        integrate(s, np.ones(5), dt=2.0, t_max=10.0)
+
+
+def test_integrate_guard_scales_with_the_start(inst5, tanh):
+    # the exact run stays within max(|x0|, pi); a start above the 1e6 floor
+    # is a valid run that decays to the origin
+    s = _sys(inst5, 1.0, tanh)
+    x0 = 2e6 * np.ones(5)
+    traj = integrate(s, x0)
+    assert traj.converged
+    assert np.abs(traj.states).max() <= max(np.abs(x0).max(), s.pi)
+    assert np.abs(traj.states[-1]).max() < 1e-9
 
 
 def test_integrate_guard_scales_with_effort(inst5, tanh):

@@ -356,6 +356,8 @@ def test_find_all_at_huge_effort_levels(inst5, tanh, pi, outcome):
     eqs = find_all(SystemInstance(graph=inst5, psi=tanh, pi=pi))
     assert [eq.classification for eq in eqs] == outcome
     assert np.abs(eqs[1].state / pi - 1.0).max() < 1e-12  # the decision state pi * ones
+    # its spread is about one ulp at that scale (2e-6 at pi = 1e10)
+    assert eqs[1].is_consensus
 
 
 def test_equilibrium_residual_contract(inst5, tanh):

@@ -5,10 +5,13 @@ shared ratio (0 for two agents, which have no admissible triples) and a
 seed, with a fixed example sequence so every run checks the same draws.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hyperdecide as hd
-from hyperdecide.dynamics import SystemInstance, jacobian, vector_field
+from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _rk4_rows, integrate, jacobian,
+                                  vector_field)
+from hyperdecide.errors import DivergenceError
 from hyperdecide.equilibria import ScalarReduced, consensus_roots, find_all, pi1_star
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
@@ -75,6 +78,66 @@ def test_stacked_rows_equal_one_row_calls(g, pi, seed, m):
         for height in range(1, m + 1):
             stacked = fn(rows[:height])
             assert all(np.array_equal(stacked[r], alone[r]) for r in range(height))
+
+
+# transmission that turns NaN past |x| = 1: a row heading there blows up
+NAN_TAIL = hd.SigmoidFamily(eval=lambda x: np.where(np.abs(x) < 1.0, np.tanh(x), np.nan),
+                            deriv=hd.tanh_family().deriv, deriv2=hd.tanh_family().deriv2,
+                            name="tanh-nan-tail")
+
+
+def plain_rk4(s, x0, dt, t_max):
+    """A plain one-state RK4 loop with the residual stop: times, states,
+    converged, final residual."""
+    x, times, states = x0, [0.0], [x0]
+    for k in range(int(round(t_max / dt))):
+        k1 = vector_field(s, x)
+        residual = float(np.abs(k1).max())
+        if residual < RESIDUAL_TOL:
+            return np.array(times), np.array(states), True, residual
+        k2 = vector_field(s, x + 0.5 * dt * k1)
+        k3 = vector_field(s, x + 0.5 * dt * k2)
+        k4 = vector_field(s, x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        times.append((k + 1) * dt)
+        states.append(x)
+    residual = float(np.abs(vector_field(s, x)).max())
+    return np.array(times), np.array(states), residual < RESIDUAL_TOL, residual
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=instances(), pi=st.floats(0.2, 3.0), seed=st.integers(0, 2**32 - 1),
+       scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 0.05, 0.5, 3.0, 2e6]), min_size=1,
+                       max_size=6),
+       dt=st.sampled_from([0.1, 0.25]), t_max=st.floats(0.5, 20.0), nan_tail=st.booleans())
+# rows that stop at steps 0, 24 and 143 and reach t_max at 200
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), pi=0.5, seed=0,
+         scales=[0.0, 1e-9, 1e-4, 0.05, 3.0, 2e6], dt=0.1, t_max=20.0, nan_tail=False)
+# rows that stop at step 0, reach t_max and turn NaN at t = 0.1
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), pi=1.7, seed=0, scales=[0.0, 0.05, 3.0],
+         dt=0.1, t_max=20.0, nan_tail=True)
+def test_rk4_rows_equal_one_state_runs(g, pi, seed, scales, dt, t_max, nan_tail):
+    # bitwise against a plain loop, whether a row stops at step 0, stops
+    # later or reaches t_max; a 2e6 start has a guard of its own (2e7); the
+    # stack raises exactly when one of its rows alone does
+    s = SystemInstance(graph=g, psi=NAN_TAIL if nan_tail else hd.tanh_family(), pi=pi)
+    X0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(scales), g.n))
+    X0 *= np.array(scales)[:, None]
+    try:
+        alone = [integrate(s, x0, dt, t_max) for x0 in X0]
+    except DivergenceError:
+        with pytest.raises(DivergenceError):
+            _rk4_rows(s, X0, dt, t_max)
+        return
+    stacked = _rk4_rows(s, X0, dt, t_max)
+    assert len(stacked) == len(alone)
+    for x0, a, b in zip(X0, alone, stacked):
+        times, states, converged, residual = plain_rk4(s, x0, dt, t_max)
+        for run in (a, b):
+            assert run.times.tobytes() == times.tobytes()
+            assert run.states.shape == states.shape
+            assert run.states.tobytes() == states.tobytes()
+            assert (run.converged, run.final_residual) == (converged, residual)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
