@@ -69,7 +69,6 @@ from .dynamics import (
 from .equilibria import (
     Equilibrium,
     ScalarReduced,
-    SeedSpec,
     consensus_gap,
     consensus_roots,
     pi1_star,

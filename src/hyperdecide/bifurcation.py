@@ -5,10 +5,11 @@ effort level, then threads the per-level results into branches by greedy
 nearest-neighbor matching in sup norm (natural-parameter continuation).
 An unmatched branch is rescued once by a Newton run seeded from its last
 state; a rescue that lands on an equilibrium already claimed by another
-branch records a merge and terminates the branch there. Branch births at
-interior grid points caused by a root-count increase are annotated as
-folds, sign changes of the leading Jacobian eigenvalue as stability
-changes. A branch that simply stops before the end of the grid records
+branch (the same equilibrium in the sense of ``find_all``'s dedup) records a
+merge and terminates the branch there. Branch births at interior grid points
+caused by a root-count increase are annotated as folds, the first point where
+a branch enters or leaves the 'stable' classification as its stability
+change. A branch that simply stops before the end of the grid records
 its termination by its last point.
 
 Per-level searches are independent; ``workers > 1`` runs them in a
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,8 +35,8 @@ from .dynamics import SystemInstance, _rk4_rows, integrate
 from .equilibria import (
     Equilibrium,
     ScalarReduced,
-    SeedSpec,
     _newton_raw,
+    _same_equilibrium,
     classify,
     consensus_roots,
     find_all,
@@ -59,7 +60,6 @@ __all__ = [
 # Matching tolerance floor and slope multiplier for branch threading.
 _MATCH_FLOOR = 0.05
 _SLOPE_INIT = 10.0
-_EQ_TOL = 1e-6
 _ATTRACTOR_TOL = 1e-4
 # default effort grid of a sweep: 1000 levels
 PI_MIN, PI_MAX, PI_STEP = 0.005, 5.0, 0.005
@@ -106,8 +106,8 @@ def make_grid(pi_min: float, pi_max: float, pi_step: float) -> np.ndarray:
 
 
 def _search_point(args):
-    g, psi, pi, spec = args
-    return find_all(SystemInstance(graph=g, psi=psi, pi=pi), spec)
+    g, psi, pi = args
+    return find_all(SystemInstance(graph=g, psi=psi, pi=pi))
 
 
 def _match_tol(slope: float, dpi: float) -> float:
@@ -115,21 +115,22 @@ def _match_tol(slope: float, dpi: float) -> float:
 
 
 def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
-          pi_grid=None, seeds: Optional[SeedSpec] = None,
-          workers: int = 1) -> SweepResult:
-    """Thread equilibria across an increasing effort grid into branches."""
+          pi_grid=None, workers: int = 1) -> SweepResult:
+    """Thread equilibria across an increasing effort grid into branches.
+    ValueError, before any level is searched, when the largest level is
+    too large for a ``SystemInstance``."""
     psi = psi or tanh_family()
     grid = make_grid(PI_MIN, PI_MAX, PI_STEP) if pi_grid is None else np.asarray(pi_grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
     if not (np.all(np.diff(grid) > 0.0) and grid[0] > 0.0):
         raise ValueError("grid must be strictly increasing and positive")
-    spec = seeds or SeedSpec()
+    SystemInstance(graph=g, psi=psi, pi=float(grid[-1]))
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
     workers = min(workers, os.cpu_count() or 1, grid.size)
-    jobs = [(g, psi, float(pi), spec) for pi in grid]
+    jobs = [(g, psi, float(pi)) for pi in grid]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -186,8 +187,8 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
                 continue
             if float(np.abs(x - last).max()) > _match_tol(slopes[bi], dpi):
                 continue
-            hit = next((ei for ei, eq in enumerate(eqs)
-                        if np.abs(eq.state - x).max() < _EQ_TOL), None)
+            hit = next((ei for ei, eq in enumerate(eqs) if _same_equilibrium(x, eq.state)),
+                       None)
             if hit is not None and hit in claimed_e:
                 # merged into another branch; record the collision point and stop
                 branches[bi].points.append((pi, eqs[hit]))
@@ -207,7 +208,7 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
 
     for b in branches:
         for (pi_prev, eq_prev), (pi_cur, eq_cur) in zip(b.points, b.points[1:]):
-            if (eq_prev.max_real_eig < 0.0) != (eq_cur.max_real_eig < 0.0):
+            if (eq_prev.classification == "stable") != (eq_cur.classification == "stable"):
                 b.stability_change_at = pi_cur
                 break
 

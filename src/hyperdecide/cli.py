@@ -28,7 +28,7 @@ from .errors import HyperdecideError
 from .nonlinearity import tanh_family
 from .hypergraph import (MAX_AGENTS, _from_parsed, load, parse_arrays, random_instance, save,
                          validation_report)
-from .dynamics import DT, T_MAX, SystemInstance, integrate, write_trajectory_csv
+from .dynamics import DT, T_MAX, SystemInstance, _check_start, integrate, write_trajectory_csv
 from .equilibria import find_all, normal_form_coeffs, pi1_star, write_equilibria_csv
 from .bifurcation import (PI_MAX, PI_MIN, PI_STEP, make_grid, sweep, write_diagram_csv,
                           write_diagram_svg)
@@ -145,8 +145,7 @@ def _parse_x0(spec: str, n: int) -> np.ndarray:
             raise ValueError(f"start vector has {x.size} entries, instance has {n}")
     else:
         raise ValueError(f"bad start spec '{spec}'")
-    if not np.isfinite(x).all():
-        raise ValueError(f"start spec '{spec}' has non-finite entries")
+    _check_start(x)
     return x
 
 
@@ -187,18 +186,18 @@ def _cmd_thresholds(run, parser):
     return 0
 
 
-def _system(run, parser):
-    """The instance file's system at effort ``run["pi"]``; a level too large
-    for the equilibrium search's finite ranges is a usage error."""
+def _system(run, parser, pi):
+    """The instance file's system at effort ``pi``; a level too large for the
+    finite blow-up guards is a usage error."""
     g = load(run["file"])
     try:
-        return SystemInstance(graph=g, psi=tanh_family(), pi=run["pi"])
+        return SystemInstance(graph=g, psi=tanh_family(), pi=pi)
     except ValueError as exc:
         parser.error(str(exc))
 
 
 def _cmd_simulate(run, parser):
-    s = _system(run, parser)
+    s = _system(run, parser, run["pi"])
     try:
         x0 = _parse_x0(run["x0"], s.graph.n)
     except ValueError as exc:
@@ -212,7 +211,7 @@ def _cmd_simulate(run, parser):
 
 
 def _cmd_equilibria(run, parser):
-    eqs = find_all(_system(run, parser))
+    eqs = find_all(_system(run, parser, run["pi"]))
     path = os.path.join(run["out_dir"], run["out"])
     write_equilibria_csv(eqs, path)
     print(f"wrote {path} count={len(eqs)}")
@@ -220,13 +219,13 @@ def _cmd_equilibria(run, parser):
 
 
 def _cmd_sweep(run, parser):
-    g = load(run["file"])
-    if run["svg_coord"] >= g.n:
-        parser.error(f"--svg-coord must be below the instance size {g.n}")
     try:
         grid = make_grid(run["pi_min"], run["pi_max"], run["pi_step"])
     except ValueError as exc:
         parser.error(str(exc))
+    g = _system(run, parser, float(grid[-1])).graph  # the largest level is refused up front
+    if run["svg_coord"] >= g.n:
+        parser.error(f"--svg-coord must be below the instance size {g.n}")
     result = sweep(g, tanh_family(), grid, workers=run["workers"])
     path = os.path.join(run["out_dir"], run["out"])
     write_diagram_csv(result, path)

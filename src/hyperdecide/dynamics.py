@@ -59,9 +59,9 @@ class SystemInstance:
     def __post_init__(self):
         if not self.pi > 0.0:
             raise ValueError(f"effort level must be positive, got {self.pi!r}")
-        if not math.isfinite(2.0 * (float(self.pi) + 1.0)):
-            raise ValueError(f"effort level {self.pi!r} is too large: the equilibrium "
-                             "search's seed box +-(pi + 1) has no finite width")
+        if not math.isfinite(10.0 * float(self.pi)):
+            raise ValueError(f"effort level {self.pi!r} is too large: the blow-up "
+                             "guard 10 pi of Newton and RK4 is not finite")
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,16 @@ def _check_state(s: SystemInstance, x) -> np.ndarray:
         raise DimensionError(
             f"state must have shape ({s.graph.n},) or (m, {s.graph.n}), got {x.shape}")
     return x
+
+
+def _check_start(x: np.ndarray) -> None:
+    """ValueError unless the start (n,) or stack of starts (m, n) is finite
+    and its blow-up guard 10 |x0|_inf is finite too."""
+    if not np.isfinite(x).all():
+        raise ValueError("start state must be finite")
+    if x.size and not math.isfinite(10.0 * float(np.abs(x).max())):
+        raise ValueError("start state is too large: its blow-up guard 10 |x0|_inf "
+                         "is not finite")
 
 
 def _one_state(s: SystemInstance, x) -> np.ndarray:
@@ -131,8 +141,7 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
     x = np.array(_check_state(s, X0), ndmin=2)
-    if not np.isfinite(x).all():
-        raise ValueError("start state must be finite")
+    _check_start(x)
     steps = t_max / dt
     if not np.isfinite(steps):
         raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite step count")

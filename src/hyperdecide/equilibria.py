@@ -8,15 +8,20 @@ state c*ones is stationary exactly when the scalar balance
 vanishes. For c > 0 the gap is h(c) (pi - F(c)), F(c) = (1 + alpha) c / h(c),
 h = psi + alpha psi^2. F has a single minimum, the fold level (least effort
 with a positive root pair); each side of its minimizer holds at most one root.
-General equilibria are found by damped Newton from a deterministic seed set,
-all seeds of a level advancing together as one (m, n) stack, and classified
-by the spectrum of the Jacobian.
+General equilibria are found by damped Newton from one fixed seed rule, all
+seeds of a level advancing together as one (m, n) stack, and classified by
+the spectrum of the Jacobian. The seeds are c * ones for c in
++-linspace(0, pi + 1, 11), the lifted consensus roots (with their negatives
+when alpha = 0) and six uniform draws on [-(pi + 1), pi + 1]^n from rng seed
+0. Two states are the same equilibrium when they lie within sup distance
+max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
+(``_same_equilibrium``); the sweep's branch rescue uses the same test.
 """
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,13 +29,12 @@ import numpy as np
 from .errors import NewtonDivergence, SingularJacobian
 from .hypergraph import Hypergraph2, _triple_term
 from .nonlinearity import SigmoidFamily, tanh_family
-from .dynamics import RESIDUAL_TOL, SystemInstance, _one_state, jacobian, vector_field
+from .dynamics import RESIDUAL_TOL, SystemInstance, jacobian, vector_field
 from .spectra import general_eigenvalues, perron_pair
 
 __all__ = [
     "ScalarReduced",
     "Equilibrium",
-    "SeedSpec",
     "consensus_gap",
     "consensus_roots",
     "pi1_star",
@@ -55,6 +59,10 @@ _CONSENSUS_RTOL = 1e-12
 # states closer than max(1e-6, 1e-12 |y|_inf) to a kept state y are merged
 _DEDUP_TOL = 1e-6
 _DEDUP_RTOL = 1e-12
+# the seed rule: 11 consensus points on [0, pi + 1], 6 uniform draws from rng seed 0
+_SEED_CONSENSUS_POINTS = 11
+_SEED_RANDOM_COUNT = 6
+_SEED_RNG = 0
 _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 
@@ -299,60 +307,41 @@ def newton_find(s: SystemInstance, x0) -> Equilibrium:
     return classify(s, x, res)
 
 
-@dataclass(frozen=True)
-class SeedSpec:
-    """Deterministic seed set for the global equilibrium search.
-
-    The backbone is a consensus grid: c * ones for c in +-linspace(0, pi+1,
-    consensus_points). When the instance has a shared ratio, lifts of the
-    scalar consensus roots are added so branches are caught right at their
-    fold. random_count uniform seeds (seeded rng) cover off-line states.
-    """
-
-    consensus_points: int = 11
-    random_count: int = 6
-    rng_seed: int = 0
-    scalar_root_seeds: bool = True
-    extra: tuple = field(default_factory=tuple)
-
-
-def _enumerate_seeds(s: SystemInstance, spec: SeedSpec) -> list[np.ndarray]:
-    n = s.graph.n
-    ones = np.ones(n)
-    seeds = []
-    for c in np.linspace(0.0, s.pi + 1.0, spec.consensus_points):
-        seeds.append(c * ones)
-        if c > 0.0:
-            seeds.append(-c * ones)
-    if spec.scalar_root_seeds and s.graph.alpha is not None:
-        reduced = ScalarReduced(alpha=s.graph.alpha, pi=s.pi)
-        for root in consensus_roots(reduced, s.psi):
-            seeds.append(root * ones)
-            if s.graph.alpha == 0.0:
-                seeds.append(-root * ones)
-    for x in spec.extra:
-        seeds.append(_one_state(s, x))
-    rng = np.random.default_rng(spec.rng_seed)
+def _enumerate_seeds(s: SystemInstance) -> np.ndarray:
+    """The seed stack (m, n) of the global search, in the order the search
+    keeps the first of two equal results: 0 * ones, then +c * ones and
+    -c * ones for each c > 0 of the consensus grid, then the lifted
+    consensus roots (each followed by its negative when alpha = 0), then the
+    uniform rows."""
     bound = s.pi + 1.0
-    for _ in range(spec.random_count):
-        seeds.append(rng.uniform(-bound, bound, n))
-    return seeds
+    c = np.linspace(0.0, bound, _SEED_CONSENSUS_POINTS)[1:]
+    scales = [np.zeros(1), np.column_stack([c, -c]).ravel()]
+    if s.graph.alpha is not None:
+        roots = np.array(consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi))
+        scales.append(np.column_stack([roots, -roots]).ravel() if s.graph.alpha == 0.0
+                      else roots)
+    uniform = np.random.default_rng(_SEED_RNG).uniform(
+        -bound, bound, (_SEED_RANDOM_COUNT, s.graph.n))
+    return np.vstack([np.outer(np.concatenate(scales), np.ones(s.graph.n)), uniform])
 
 
-def find_all(s: SystemInstance, seeds: Optional[SeedSpec] = None) -> list[Equilibrium]:
-    """Newton from every seed, all seeds advancing together as one stack,
-    deduplicated in seed order (sup distance max(1e-6, 1e-12 |y|_inf) to a
-    kept state y) and sorted by sup norm.
-    Seeds that diverge are dropped silently; reordering the seed set cannot
+def _same_equilibrium(x: np.ndarray, y: np.ndarray) -> bool:
+    """True when ``x`` lies within sup distance max(1e-6, 1e-12 |y|_inf) of
+    the state ``y`` already kept."""
+    return bool(np.abs(x - y).max() < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max()))
+
+
+def find_all(s: SystemInstance) -> list[Equilibrium]:
+    """Newton from every seed of the fixed seed rule, all seeds advancing
+    together as one stack, deduplicated in seed order by
+    ``_same_equilibrium`` and sorted by sup norm.
+    Seeds that diverge are dropped silently; reordering the seed stack cannot
     change the result beyond its guaranteed sorting."""
-    spec = seeds or SeedSpec()
-    xs, ress, causes = _newton_raw(s, np.reshape(_enumerate_seeds(s, spec), (-1, s.graph.n)))
+    xs, ress, causes = _newton_raw(s, _enumerate_seeds(s))
     found: list[np.ndarray] = []
     residuals: list[float] = []
     for x, res, cause in zip(xs, ress, causes):
-        if cause != "converged" or any(
-                np.abs(x - y).max() < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max())
-                for y in found):
+        if cause != "converged" or any(_same_equilibrium(x, y) for y in found):
             continue
         found.append(x)
         residuals.append(float(res))

@@ -14,7 +14,7 @@ from hyperdecide.bifurcation import (
     write_diagram_svg,
 )
 from hyperdecide.dynamics import SystemInstance
-from hyperdecide.equilibria import SeedSpec, pi1_star
+from hyperdecide.equilibria import pi1_star
 from hyperdecide.errors import DimensionError, NoBistabilityError
 
 PI_FOLD = 1.4436264328094527
@@ -166,17 +166,6 @@ def test_sweep_workers_clamped(inst5, tanh, monkeypatch):
     assert _InlinePool.sizes == [3, 2]
     with pytest.raises(ValueError):
         sweep(inst5, tanh, grid, workers=0)
-
-
-def test_sweep_seed_spec_override(inst5, tanh):
-    # heavier random probing must not change the threaded picture here
-    grid = make_grid(1.6, 1.8, 0.1)
-    base = sweep(inst5, tanh, grid)
-    heavy = sweep(inst5, tanh, grid, seeds=SeedSpec(random_count=20, rng_seed=5))
-    assert len(base.branches) == len(heavy.branches)
-    for a, b in zip(base.branches, heavy.branches):
-        assert len(a.points) == len(b.points)
-        assert np.abs(a.states() - b.states()).max() < 1e-9
 
 
 def test_bistability_interval_values(inst5, tanh):

@@ -240,6 +240,7 @@ def test_sweep_reruns_byte_identical(inst_file, tmp_path):
     ["simulate", "--pi", "1.7", "--x0", "list:nan,0,0,0,0"],
     ["simulate", "--pi", "1.7", "--x0", "consensus:inf"],
     ["simulate", "--pi", "1.7", "--x0", "random:3:inf"],
+    ["simulate", "--pi", "1", "--x0", "consensus:1e308"],  # its guard 10 |x0|_inf overflows
 ])
 def test_non_finite_floats_are_usage_errors(args, inst_file, tmp_path, capsys):
     command, *flags = args
@@ -271,6 +272,8 @@ SMALL_GRID = ["--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1"]
     ("sweep", [], "pi_step", "1e-9"),  # 4 995 000 001 effort levels
     ("equilibria", [], "pi", "9e307"),  # 2 (pi + 1), the seed box width, overflows
     ("simulate", [], "pi", "9e307"),
+    ("equilibria", [], "pi", "8e307"),  # 10 pi, the Newton blow-up guard, overflows
+    ("sweep", ["--pi-min", "8e307", "--pi-step", "1e307"], "pi_max", "9e307"),
 ])
 @pytest.mark.parametrize("given_as", ["flag", "config"])
 def test_out_of_range_values_are_usage_errors(command, flags, key, value, given_as,

@@ -5,6 +5,7 @@ import hyperdecide as hd
 from hyperdecide.errors import DimensionError, DivergenceError
 from hyperdecide.dynamics import (
     SystemInstance,
+    _rk4_rows,
     integrate,
     jacobian,
     lyapunov_value,
@@ -91,6 +92,17 @@ def test_integrate_refuses_non_finite_start(inst5, tanh):
         x0[2] = bad
         with pytest.raises(ValueError):
             integrate(s, x0)
+
+
+def test_integrate_refuses_a_start_past_the_guard(inst5, tanh):
+    # the guard 10 |x0|_inf overflows at 1e308: refused before any step
+    s = _sys(inst5, 1.0, tanh)
+    with pytest.raises(ValueError, match="too large"):
+        integrate(s, 1e308 * np.ones(5))
+    with pytest.raises(ValueError, match="too large"):
+        _rk4_rows(s, np.vstack([np.ones(5), np.full(5, -1e308)]))
+    # one decade lower the guard is finite and the run decays
+    assert integrate(s, 1e307 * np.ones(5), t_max=1.0).states.shape == (101, 5)
 
 
 def test_integrate_refuses_a_step_count_that_is_not_finite(inst5, tanh):

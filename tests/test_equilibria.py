@@ -16,7 +16,6 @@ from hyperdecide.dynamics import SystemInstance, jacobian, vector_field
 from hyperdecide.equilibria import (
     Equilibrium,
     ScalarReduced,
-    SeedSpec,
     consensus_gap,
     consensus_roots,
     equilibria_csv,
@@ -27,7 +26,7 @@ from hyperdecide.equilibria import (
     _newton_raw,
     _newton_rows,
 )
-from hyperdecide.errors import DimensionError, NewtonDivergence, SingularJacobian
+from hyperdecide.errors import NewtonDivergence, SingularJacobian
 from hyperdecide.spectra import general_eigenvalues, perron_pair, thresholds
 
 GAP_1_2_1 = 0.6832396286834772  # consensus gap at eps=1, effort 2, ratio 1
@@ -308,12 +307,6 @@ def test_newton_rows_follow_the_one_row_iteration(graph, pi, seed, m, scale):
                 _newton_raw(s, x0)
 
 
-def test_find_all_rejects_wrong_length_extra_seed(inst5, tanh):
-    s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
-    with pytest.raises(DimensionError):
-        find_all(s, SeedSpec(extra=(np.zeros(4),)))
-
-
 def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
     # one start blows up at once; another gets an all-zero Jacobian, which
     # makes the stacked solve raise and sends that iteration to row solves
@@ -333,8 +326,10 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
     assert list(causes) == ["diverged", "singular", "converged", "converged"]
     with pytest.raises(SingularJacobian):
         _newton_raw(s, singular)
-    spec = SeedSpec(extra=(diverging, singular))
-    found = find_all(s, spec)
+    default_seeds = equilibria._enumerate_seeds
+    monkeypatch.setattr(equilibria, "_enumerate_seeds",
+                        lambda s_: np.vstack([default_seeds(s_), diverging, singular]))
+    found = find_all(s)
     assert len(found) == len(plain) == 3
     for a, b in zip(found, plain):
         assert np.abs(a.state - b.state).max() <= 1e-12
@@ -345,13 +340,16 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
     (1e10, ["unstable", "stable"]),  # an absolute 1e-6 merge listed the upper state twice
     (1e13, ["unstable", "stable"]),  # a fixed 1e12 blow-up guard lost the upper state
     (9e307, ValueError),  # 2 (pi + 1) overflows: the seed box and root bracket are not finite
+    (3e307, ValueError),  # the Newton guard 10 pi overflows: a RuntimeWarning in the search
+    (8e307, ValueError),  # the same: the decision state was lost
 ])
 def test_find_all_at_huge_effort_levels(inst5, tanh, pi, outcome):
     if outcome is ValueError:
         with pytest.raises(ValueError, match="too large"):
             SystemInstance(graph=inst5, psi=tanh, pi=pi)
-        with pytest.raises(ValueError, match="too large"):
-            ScalarReduced(alpha=inst5.alpha, pi=pi)
+        if not np.isfinite(2.0 * pi):  # the root bracket of the scalar balance
+            with pytest.raises(ValueError, match="too large"):
+                ScalarReduced(alpha=inst5.alpha, pi=pi)
         return
     eqs = find_all(SystemInstance(graph=inst5, psi=tanh, pi=pi))
     assert [eq.classification for eq in eqs] == outcome
@@ -408,17 +406,15 @@ def test_find_all_deduplicates_collision_point(inst5, tanh):
     assert eqs[1].state.mean() == pytest.approx(1.8603769981339608, abs=1e-8)
 
 
-def test_find_all_seed_order_irrelevant(inst5, tanh):
+def test_find_all_seed_order_irrelevant(inst5, tanh, monkeypatch):
     s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
     rng = np.random.default_rng(21)
-    extra = [rng.uniform(-2.5, 2.5, 5) for _ in range(8)]
-    extra += [0.01 * np.ones(5), 2.0 * np.ones(5), 0.3 * np.ones(5)]
-    spec_fwd = SeedSpec(consensus_points=0, random_count=0,
-                        scalar_root_seeds=False, extra=tuple(extra))
-    spec_rev = SeedSpec(consensus_points=0, random_count=0,
-                        scalar_root_seeds=False, extra=tuple(reversed(extra)))
-    fwd = find_all(s, spec_fwd)
-    rev = find_all(s, spec_rev)
+    seeds = [rng.uniform(-2.5, 2.5, 5) for _ in range(8)]
+    seeds += [0.01 * np.ones(5), 2.0 * np.ones(5), 0.3 * np.ones(5)]
+    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_: np.array(seeds))
+    fwd = find_all(s)
+    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_: np.array(seeds[::-1]))
+    rev = find_all(s)
     assert len(fwd) == len(rev)
     for a, b in zip(fwd, rev):
         assert np.abs(a.state - b.state).max() < 1e-9

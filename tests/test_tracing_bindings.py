@@ -1,5 +1,5 @@
 """The traced benchmark rebinds functions by name; every name must exist,
-and a traced basin probe and integration must still run."""
+and a traced basin probe, integration and sweep must still run."""
 import importlib.util
 import json
 import os
@@ -56,3 +56,32 @@ def test_traced_basin_probe_and_integrate_run():
     assert out["calls"] == 1
     assert out["traced_steps"] == out["steps"] == 100
     assert out["field_calls"] > 0
+
+
+SWEEP_SMOKE = """
+import json, sys
+import hyperdecide as hd
+from tracing import Tracer, layer_metrics
+tracer = Tracer(memory=False)
+tracer.install(hd)
+with open(sys.argv[1]) as fh:
+    g = hd.hypergraph.from_text(fh.read())
+result = hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8])
+m = layer_metrics(tracer.names, tracer.arrays())
+print(json.dumps({"branches": len(result.branches),
+                  "searches": m["equilibria.find_all.calls"],
+                  "newton_runs": m["equilibria.newton.runs"]}))
+"""
+
+
+def test_traced_sweep_runs_one_search_per_level():
+    src = Path(hd.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TRACING.parent)]))
+    proc = subprocess.run([sys.executable, "-c", SWEEP_SMOKE, str(TRACING.parent / "inst5.txt")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["branches"] > 0
+    # the per-level search and its Newton stack go through the traced names
+    assert out["searches"] == 3
+    assert out["newton_runs"] >= 3
