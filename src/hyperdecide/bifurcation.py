@@ -1,7 +1,8 @@
 """Effort sweeps: branch threading, bistability interval, basin probes.
 
-A sweep runs the global equilibrium search at every grid value of the
-effort level, then threads the per-level results into branches by greedy
+A sweep runs the global equilibrium search over its whole effort grid
+(``equilibria._search_grid``: chunks of whole levels, each one Newton
+stack), then threads the per-level results into branches by greedy
 nearest-neighbor matching in sup norm (natural-parameter continuation).
 An unmatched branch is rescued once by a Newton run seeded from its last
 state; a rescue that lands on an equilibrium already claimed by another
@@ -12,17 +13,18 @@ a branch enters or leaves the 'stable' classification as its stability
 change. A branch that simply stops before the end of the grid records
 its termination by its last point.
 
-Per-level searches are independent; ``workers > 1`` runs them in a
-process pool of at most one process per CPU and per level (the sigmoid
-family must then be picklable, which the module-level tanh family is).
-Threading is a sequential deterministic pass, so worker count never
-changes the result.
+Every level's result is independent of the others; ``workers > 1``
+splits the grid into at most one contiguous slice per CPU and per level
+and searches each slice in a process pool (the sigmoid family must then be
+picklable, which the module-level tanh family is). Threading is a
+sequential deterministic pass, so worker count never changes the result.
 """
 from __future__ import annotations
 
 import io
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,13 +32,15 @@ import numpy as np
 from .errors import DimensionError, NewtonDivergence, NoBistabilityError, SingularJacobian
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-# integrate is not called here; benchmarks/tracing.py binds it by this name
+# integrate and find_all are not called here; benchmarks/tracing.py binds them
+# by these names
 from .dynamics import SystemInstance, _rk4_rows, integrate
 from .equilibria import (
     Equilibrium,
     ScalarReduced,
     _newton_raw,
     _same_equilibrium,
+    _search_grid,
     classify,
     consensus_roots,
     find_all,
@@ -63,8 +67,9 @@ _SLOPE_INIT = 10.0
 _ATTRACTOR_TOL = 1e-4
 # default effort grid of a sweep: 1000 levels
 PI_MIN, PI_MAX, PI_STEP = 0.005, 5.0, 0.005
-# A sweep runs a global equilibrium search per level, a few ms each at n=5,
-# so a million levels is already more than an hour; the grid itself is 8 MB.
+# A sweep searches every level, below a millisecond each at n=5 in the grid
+# stack, so a million levels take about a quarter of an hour and keep
+# millions of equilibria; the grid itself is 8 MB.
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -105,11 +110,6 @@ def make_grid(pi_min: float, pi_max: float, pi_step: float) -> np.ndarray:
     return grid[grid <= pi_max + 1e-12]
 
 
-def _search_point(args):
-    g, psi, pi = args
-    return find_all(SystemInstance(graph=g, psi=psi, pi=pi))
-
-
 def _match_tol(slope: float, dpi: float) -> float:
     return max(_SLOPE_INIT * dpi * slope, _MATCH_FLOOR)
 
@@ -130,13 +130,14 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
     if workers < 1:
         raise ValueError("workers must be at least 1")
     workers = min(workers, os.cpu_count() or 1, grid.size)
-    jobs = [(g, psi, float(pi)) for pi in grid]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_pi = list(pool.map(_search_point, jobs, chunksize=8))
+            per_pi = [eqs for part in pool.map(partial(_search_grid, g, psi),
+                                               np.array_split(grid, workers))
+                      for eqs in part]
     else:
-        per_pi = [_search_point(job) for job in jobs]
+        per_pi = _search_grid(g, psi, grid)
 
     branches: list[BifurcationBranch] = []
     active: list[int] = []

@@ -97,26 +97,37 @@ def _one_state(s: SystemInstance, x) -> np.ndarray:
     return x
 
 
-def vector_field(s: SystemInstance, x) -> np.ndarray:
-    """Time derivative of a state (n,), or of every row of a stack (m, n)."""
-    x = _check_state(s, x)
-    p = s.psi.eval(x)
+def _field(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
+    """The field at effort ``pi`` for a state (n,) or a stack (m, n); ``pi``
+    is one level or a column (m, 1) of per-row levels, which gives every row
+    the arithmetic of its own level."""
+    p = psi.eval(x)
     # one matrix-vector product per row: a matrix product would give a row
     # different last bits depending on the stack height
-    pair = s.graph.a2 @ p if p.ndim == 1 else (s.graph.a2 @ p[..., None])[..., 0]
-    return s.pi * (pair + _triple_term(s.graph, p)) - s.graph.degrees * x
+    pair = g.a2 @ p if p.ndim == 1 else (g.a2 @ p[..., None])[..., 0]
+    return pi * (pair + _triple_term(g, p)) - g.degrees * x
+
+
+def _jacobian(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
+    """The Jacobian at effort ``pi``, one level or a column (m, 1) of per-row
+    levels for a stack (m, n), as ``_field``."""
+    p = psi.eval(x)
+    dp = psi.deriv(x)
+    j = np.asarray(pi)[..., None] * (g.a2 + 2.0 * _pair_rows(g, p)) * dp[..., None, :]
+    j.reshape(-1, g.n ** 2)[:, ::g.n + 1] -= g.degrees
+    return j
+
+
+def vector_field(s: SystemInstance, x) -> np.ndarray:
+    """Time derivative of a state (n,), or of every row of a stack (m, n)."""
+    return _field(s.graph, s.psi, s.pi, _check_state(s, x))
 
 
 def jacobian(s: SystemInstance, x) -> np.ndarray:
     """Derivative of the field at a state (n,) -> (n, n), or at every row of
     a stack (m, n) -> (m, n, n); column k is scaled by the transmission slope
     at x_k, with the 2-interaction part entering through its slice products."""
-    x = _check_state(s, x)
-    p = s.psi.eval(x)
-    dp = s.psi.deriv(x)
-    j = s.pi * (s.graph.a2 + 2.0 * _pair_rows(s.graph, p)) * dp[..., None, :]
-    j.reshape(-1, s.graph.n ** 2)[:, ::s.graph.n + 1] -= s.graph.degrees
-    return j
+    return _jacobian(s.graph, s.psi, s.pi, _check_state(s, x))
 
 
 def _check_guard(x: np.ndarray, limit: np.ndarray, t: float) -> None:
@@ -231,16 +242,18 @@ class SupNormReport:
     trajectory: Trajectory
 
 
-def sup_norm_report(s: SystemInstance, x0, t_max: float = T_MAX) -> SupNormReport:
+def sup_norm_report(s: SystemInstance, x0, t_max: float = T_MAX):
     """Integrate and report whether the sup norm ever grew by more than
-    1e-9 over a single step. Expected to pass below the fold level."""
-    traj = integrate(s, x0, t_max=t_max)
-    norms = np.abs(traj.states).max(axis=1)
-    if norms.size < 2:
-        return SupNormReport(True, 0.0, traj)
-    increases = np.diff(norms)
-    worst = float(increases.max())
-    return SupNormReport(bool(worst <= _SUP_NORM_TOL), worst, traj)
+    1e-9 over a single step. Expected to pass below the fold level. A stack
+    of starts (m, n) runs as one ``_rk4_rows`` stack and gives one report
+    per row, each the report of that start alone."""
+    x0 = _check_state(s, x0)
+    reports = []
+    for traj in _rk4_rows(s, x0, t_max=t_max):
+        increases = np.diff(np.abs(traj.states).max(axis=1))
+        worst = float(increases.max()) if increases.size else 0.0
+        reports.append(SupNormReport(bool(worst <= _SUP_NORM_TOL), worst, traj))
+    return reports if x0.ndim == 2 else reports[0]
 
 
 def trajectory_csv(traj: Trajectory) -> str:

@@ -8,9 +8,11 @@ state c*ones is stationary exactly when the scalar balance
 vanishes. For c > 0 the gap is h(c) (pi - F(c)), F(c) = (1 + alpha) c / h(c),
 h = psi + alpha psi^2. F has a single minimum, the fold level (least effort
 with a positive root pair); each side of its minimizer holds at most one root.
-General equilibria are found by damped Newton from one fixed seed rule, all
-seeds of a level advancing together as one (m, n) stack, and classified by
-the spectrum of the Jacobian. The seeds are c * ones for c in
+General equilibria are found by damped Newton from one fixed seed rule and
+classified by the spectrum of the Jacobian. The seeds of many levels
+advance together as one (m, n) stack, each row at its own level: a grid
+search runs chunks of whole levels of at most 1e5 / n^2 rows, and
+``find_all`` is its one-level case. The seeds are c * ones for c in
 +-linspace(0, pi + 1, 11), the lifted consensus roots (with their negatives
 when alpha = 0) and six uniform draws on [-(pi + 1), pi + 1]^n from rng seed
 0. Two states are the same equilibrium when they lie within sup distance
@@ -26,10 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NewtonDivergence, SingularJacobian
+from .errors import ConvergenceError, NewtonDivergence, SingularJacobian
 from .hypergraph import Hypergraph2, _triple_term
 from .nonlinearity import SigmoidFamily, tanh_family
-from .dynamics import RESIDUAL_TOL, SystemInstance, jacobian, vector_field
+# jacobian and general_eigenvalues are not called here; benchmarks/tracing.py
+# binds them by these names
+from .dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian, _one_state,
+                       jacobian, vector_field)
 from .spectra import general_eigenvalues, perron_pair
 
 __all__ = [
@@ -65,6 +70,10 @@ _SEED_RANDOM_COUNT = 6
 _SEED_RNG = 0
 _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
+# rows * n^2 of one Newton stack of a grid search: about 140 levels of 28
+# seeds at n = 5, one level (the least a chunk holds) at n = 120, where one
+# bigger stack ran slower
+_STACK_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -143,7 +152,17 @@ def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> li
     side is reached by Newton runs from negative seeds instead.
     """
     psi = psi or tanh_family()
-    split = max(pi1_star(r.alpha, psi)[1], _ROOT_EPS_MIN)
+    return _consensus_roots(r, psi, _fold_split(r.alpha, psi))
+
+
+def _fold_split(alpha: float, psi: SigmoidFamily) -> float:
+    """The fold state of ``pi1_star``, at least 1e-8: where the consensus
+    root range splits. It does not depend on the effort level."""
+    return max(pi1_star(alpha, psi)[1], _ROOT_EPS_MIN)
+
+
+def _consensus_roots(r: ScalarReduced, psi: SigmoidFamily, split: float) -> list[float]:
+    """``consensus_roots`` with the fold split ``_fold_split`` given."""
     fn = lambda e: float(consensus_gap(r, e, psi))
     roots = []
     for lo, hi in ((_ROOT_EPS_MIN, split), (split, max(_ROOT_EPS_MAX, 2.0 * r.pi))):
@@ -195,18 +214,22 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     return float(level), float(eps_star)
 
 
-def _newton_rows(s: SystemInstance, X0):
+def _newton_rows(s: SystemInstance, X0, pi=None):
     """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
-    following the iteration it would follow alone until it is done. Returns
+    following the iteration it would follow alone until it is done. Row r
+    runs at effort ``pi[r]`` when the levels (m,) are given, at ``s.pi``
+    otherwise; ``s`` gives the network and the transmission. Returns
     states, residuals and causes: 'converged', 'diverged' (a component past
     max(1e12, 10 pi), or 100 iterations), 'singular' or 'stalled' (no damping
     helps); the last two count as converged below 1e-10. A row polishes
     below 1e-10 until its full Newton step is negligible: along near-singular
     directions the residual underestimates the distance to the solution by
     orders of magnitude."""
-    x = np.array(X0, dtype=float)
-    limit = max(_NEWTON_BLOWUP, 10.0 * s.pi)
-    fx = vector_field(s, x)
+    g, psi = s.graph, s.psi
+    x = np.array(_check_state(s, X0), dtype=float)
+    pi = np.full((len(x), 1), s.pi, dtype=float) if pi is None else np.reshape(pi, (-1, 1))
+    limit = np.maximum(_NEWTON_BLOWUP, 10.0 * pi[:, 0])
+    fx = _field(g, psi, pi, x)
     res = np.abs(fx).max(axis=1)
     step_inf = np.full(len(x), np.inf)
     cause = np.full(len(x), "diverged", dtype=object)
@@ -215,10 +238,10 @@ def _newton_rows(s: SystemInstance, X0):
         done = (res[live] < _RESIDUAL_FLOOR) & (step_inf[live] < _STEP_FLOOR)
         cause[live[done]] = "converged"
         live = live[~done]
-        live = live[(np.abs(x[live]).max(axis=1) <= limit) & np.isfinite(res[live])]
+        live = live[(np.abs(x[live]).max(axis=1) <= limit[live]) & np.isfinite(res[live])]
         if not live.size:
             break
-        j, rhs = jacobian(s, x[live]), -fx[live]
+        j, rhs = _jacobian(g, psi, pi[live], x[live]), -fx[live]
         try:
             step = np.linalg.solve(j, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:  # some matrix of the stack is singular
@@ -232,9 +255,9 @@ def _newton_rows(s: SystemInstance, X0):
             cause[failed] = np.where(res[failed] < RESIDUAL_TOL, "converged", "singular")
             live, step = live[solved], step[solved]
         step_inf[live] = np.abs(step).max(axis=1)
-        x_l, r_l = x[live], res[live]
+        x_l, r_l, pi_l = x[live], res[live], pi[live]
         x_new = x_l + step
-        f_new = vector_field(s, x_new)
+        f_new = _field(g, psi, pi_l, x_new)
         r_new = np.abs(f_new).max(axis=1)
         moved = (x_new != x_l).any(axis=1)
         better = moved & (r_new < r_l)
@@ -245,7 +268,7 @@ def _newton_rows(s: SystemInstance, X0):
             pending, trial = pending[go], trial[go]
             if not pending.size:
                 break
-            f_t = vector_field(s, trial)
+            f_t = _field(g, psi, pi_l[pending], trial)
             r_t = np.abs(f_t).max(axis=1)
             hit = r_t < r_l[pending]
             k = pending[hit]
@@ -261,12 +284,8 @@ def _newton_rows(s: SystemInstance, X0):
 
 def _newton_raw(s: SystemInstance, x0):
     """Damped Newton from one state: (state, residual), or NewtonDivergence or
-    SingularJacobian. A stack (m, n) returns ``_newton_rows`` instead, so that
-    ``find_all``'s seed stack is one call of this name (benchmarks/tracing.py)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        return _newton_rows(s, x0)
-    x, res, cause = _newton_rows(s, x0[None])
+    SingularJacobian."""
+    x, res, cause = _newton_rows(s, _one_state(s, x0)[None])
     if cause[0] == "singular":
         raise SingularJacobian(f"singular Jacobian at residual {res[0]:.3e}")
     if cause[0] != "converged":
@@ -274,31 +293,40 @@ def _newton_raw(s: SystemInstance, x0):
     return x[0], float(res[0])
 
 
+def _classify_rows(g: Hypergraph2, psi: SigmoidFamily, levels: Sequence[float], X: np.ndarray,
+                   residuals: Sequence[float]) -> list[Equilibrium]:
+    """Wrap the stationary states ``X`` (m, n), row r at effort ``levels[r]``
+    with field residual ``residuals[r]``, with their spectral classification:
+    one stacked Jacobian, one eigensolve."""
+    try:
+        spectra = np.linalg.eigvals(_jacobian(g, psi, np.reshape(levels, (-1, 1)), X))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve did not converge: {exc}") from exc
+    eqs = []
+    for x, pi, residual, top in zip(X, levels, residuals, spectra.real.max(axis=1).tolist()):
+        label = ("stable" if top < -_STABLE_TOL else "unstable" if top > _STABLE_TOL
+                 else "marginal")
+        centered = x - x.mean()
+        state = x.copy()
+        state.setflags(write=False)
+        eqs.append(Equilibrium(
+            state=state,
+            pi=pi,
+            residual=float(residual),
+            classification=label,
+            max_real_eig=top,
+            is_consensus=bool(np.abs(centered).max()
+                              <= max(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(x).max())),
+        ))
+    return eqs
+
+
 def classify(s: SystemInstance, x, residual: Optional[float] = None) -> Equilibrium:
     """Wrap a stationary state with its spectral classification."""
-    x = np.asarray(x, dtype=float)
+    x = _one_state(s, x)
     if residual is None:
         residual = float(np.abs(vector_field(s, x)).max())
-    spec = general_eigenvalues(jacobian(s, x))
-    top = float(spec.reals.max())
-    if top < -_STABLE_TOL:
-        label = "stable"
-    elif top > _STABLE_TOL:
-        label = "unstable"
-    else:
-        label = "marginal"
-    centered = x - x.mean()
-    state = x.copy()
-    state.setflags(write=False)
-    return Equilibrium(
-        state=state,
-        pi=s.pi,
-        residual=residual,
-        classification=label,
-        max_real_eig=top,
-        is_consensus=bool(np.abs(centered).max()
-                          <= max(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(x).max())),
-    )
+    return _classify_rows(s.graph, s.psi, [s.pi], x[None], [residual])[0]
 
 
 def newton_find(s: SystemInstance, x0) -> Equilibrium:
@@ -307,17 +335,19 @@ def newton_find(s: SystemInstance, x0) -> Equilibrium:
     return classify(s, x, res)
 
 
-def _enumerate_seeds(s: SystemInstance) -> np.ndarray:
+def _enumerate_seeds(s: SystemInstance, split: Optional[float]) -> np.ndarray:
     """The seed stack (m, n) of the global search, in the order the search
     keeps the first of two equal results: 0 * ones, then +c * ones and
     -c * ones for each c > 0 of the consensus grid, then the lifted
     consensus roots (each followed by its negative when alpha = 0), then the
-    uniform rows."""
+    uniform rows. ``split`` is ``_fold_split`` of the shared ratio, None
+    without one."""
     bound = s.pi + 1.0
     c = np.linspace(0.0, bound, _SEED_CONSENSUS_POINTS)[1:]
     scales = [np.zeros(1), np.column_stack([c, -c]).ravel()]
     if s.graph.alpha is not None:
-        roots = np.array(consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi))
+        roots = np.array(_consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi,
+                                          split))
         scales.append(np.column_stack([roots, -roots]).ravel() if s.graph.alpha == 0.0
                       else roots)
     uniform = np.random.default_rng(_SEED_RNG).uniform(
@@ -325,29 +355,70 @@ def _enumerate_seeds(s: SystemInstance) -> np.ndarray:
     return np.vstack([np.outer(np.concatenate(scales), np.ones(s.graph.n)), uniform])
 
 
-def _same_equilibrium(x: np.ndarray, y: np.ndarray) -> bool:
-    """True when ``x`` lies within sup distance max(1e-6, 1e-12 |y|_inf) of
-    the state ``y`` already kept."""
-    return bool(np.abs(x - y).max() < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max()))
+def _same_equilibrium(x: np.ndarray, y: np.ndarray):
+    """True where ``x`` (n,), or each row of ``x`` (m, n), lies within sup
+    distance max(1e-6, 1e-12 |y|_inf) of the state ``y`` already kept."""
+    return np.abs(x - y).max(axis=-1) < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max())
+
+
+def _chunks(stacks, n: int):
+    """Consecutive (level, seeds) pairs of ``stacks`` grouped into lists of
+    whole levels, each holding at most ``_STACK_BUDGET`` / n^2 seed rows
+    unless it is a single level. Reads ``stacks`` at most one level past
+    the chunk it yields."""
+    chunk, rows = [], 0
+    for level, seeds in stacks:
+        if chunk and (rows + len(seeds)) * n * n > _STACK_BUDGET:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append((level, seeds))
+        rows += len(seeds)
+    if chunk:
+        yield chunk
+
+
+def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equilibrium]]:
+    """The global search at every effort level of ``levels``, level by level
+    the list ``find_all`` gives there. Each level's seed stack is built when
+    its chunk (``_chunks``) runs; a chunk's rows advance as one Newton stack,
+    each at its own level. Each level is deduplicated in seed order by
+    ``_same_equilibrium`` and sorted by sup norm, and the chunk is classified
+    at once."""
+    split = None if g.alpha is None else _fold_split(g.alpha, psi)
+    instances = (SystemInstance(graph=g, psi=psi, pi=float(pi)) for pi in levels)
+    out: list[list[Equilibrium]] = []
+    for chunk in _chunks(((s, _enumerate_seeds(s, split)) for s in instances), g.n):
+        pis = [s.pi for s, _ in chunk]
+        sizes = [len(seeds) for _, seeds in chunk]
+        xs, ress, causes = _newton_rows(chunk[0][0], np.vstack([seeds for _, seeds in chunk]),
+                                        np.repeat(pis, sizes))
+        kept, counts, start = [], [], 0
+        for size in sizes:
+            rows = start + np.flatnonzero(causes[start:start + size] == "converged")
+            found = []
+            # keep the first row left, drop every row equal to it: the rows a
+            # scan in seed order keeps, each against the states kept before
+            while rows.size:
+                found.append(rows[0])
+                rows = rows[~_same_equilibrium(xs[rows], xs[rows[0]])]
+            found.sort(key=lambda i: (float(np.abs(xs[i]).max()), tuple(xs[i])))
+            kept += found
+            counts.append(len(found))
+            start += size
+        eqs = _classify_rows(g, psi, np.repeat(pis, counts).tolist(), xs[kept], ress[kept])
+        ends = np.cumsum(counts).tolist()
+        out += [eqs[a:b] for a, b in zip([0] + ends, ends)]
+    return out
 
 
 def find_all(s: SystemInstance) -> list[Equilibrium]:
     """Newton from every seed of the fixed seed rule, all seeds advancing
     together as one stack, deduplicated in seed order by
-    ``_same_equilibrium`` and sorted by sup norm.
+    ``_same_equilibrium`` and sorted by sup norm: the one-level case of the
+    grid search ``_search_grid``.
     Seeds that diverge are dropped silently; reordering the seed stack cannot
     change the result beyond its guaranteed sorting."""
-    xs, ress, causes = _newton_raw(s, _enumerate_seeds(s))
-    found: list[np.ndarray] = []
-    residuals: list[float] = []
-    for x, res, cause in zip(xs, ress, causes):
-        if cause != "converged" or any(_same_equilibrium(x, y) for y in found):
-            continue
-        found.append(x)
-        residuals.append(float(res))
-    order = sorted(range(len(found)),
-                   key=lambda i: (float(np.abs(found[i]).max()), tuple(found[i])))
-    return [classify(s, found[i], residuals[i]) for i in order]
+    return _search_grid(s.graph, s.psi, [s.pi])[0]
 
 
 def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> tuple[float, float]:

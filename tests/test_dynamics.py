@@ -265,6 +265,24 @@ def test_sup_norm_grows_above_collision(inst5, tanh):
     assert report.max_step_increase > 1e-6
 
 
+def test_sup_norm_report_of_a_stack_is_one_report_per_start(inst5, tanh):
+    # rows that stop at once (the origin), descend, and grow; each report is
+    # bitwise the one-start report
+    s = _sys(inst5, 2.5, tanh)
+    starts = np.vstack([np.zeros(5), np.random.default_rng(13).uniform(-3.0, 3.0, 5),
+                        0.3 * np.ones(5)])
+    stacked = sup_norm_report(s, starts, t_max=20.0)
+    assert len(stacked) == 3
+    for x0, report in zip(starts, stacked):
+        alone = sup_norm_report(s, x0, t_max=20.0)
+        assert (report.monotone, report.max_step_increase) == (alone.monotone,
+                                                               alone.max_step_increase)
+        assert report.trajectory.states.tobytes() == alone.trajectory.states.tobytes()
+    assert stacked[0].trajectory.times.size == 1 and stacked[0].max_step_increase == 0.0
+    assert not stacked[2].monotone
+    assert sup_norm_report(s, np.zeros((0, 5))) == []
+
+
 def test_trajectory_csv_shape_and_determinism(inst5, tanh, tmp_path):
     s = _sys(inst5, 1.7, tanh)
     traj = integrate(s, 0.3 * np.ones(5), dt=0.05, t_max=2.0)

@@ -314,21 +314,22 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
     marker = 0.123456789
     diverging, singular = np.full(5, 1e13), np.full(5, marker)
     plain = find_all(s)
-    real_jacobian = equilibria.jacobian
+    real_jacobian = equilibria._jacobian
 
-    def singular_at_marker(s_, x):
-        j = real_jacobian(s_, x)
+    def singular_at_marker(g, psi, pi, x):
+        j = real_jacobian(g, psi, pi, x)
         j[np.asarray(x)[..., 0] == marker] = 0.0
         return j
 
-    monkeypatch.setattr(equilibria, "jacobian", singular_at_marker)
+    monkeypatch.setattr(equilibria, "_jacobian", singular_at_marker)
     _, _, causes = _newton_rows(s, [diverging, singular, np.zeros(5), 2.0 * np.ones(5)])
     assert list(causes) == ["diverged", "singular", "converged", "converged"]
     with pytest.raises(SingularJacobian):
         _newton_raw(s, singular)
     default_seeds = equilibria._enumerate_seeds
     monkeypatch.setattr(equilibria, "_enumerate_seeds",
-                        lambda s_: np.vstack([default_seeds(s_), diverging, singular]))
+                        lambda s_, split: np.vstack([default_seeds(s_, split), diverging,
+                                                     singular]))
     found = find_all(s)
     assert len(found) == len(plain) == 3
     for a, b in zip(found, plain):
@@ -406,14 +407,42 @@ def test_find_all_deduplicates_collision_point(inst5, tanh):
     assert eqs[1].state.mean() == pytest.approx(1.8603769981339608, abs=1e-8)
 
 
+def test_chunks_cover_the_grid_in_whole_levels_within_the_budget():
+    budget = equilibria._STACK_BUDGET
+    for n, sizes in ((5, [28] * 300), (5, [27, 29, 5000, 0, 1, 28] * 40), (120, [28] * 7),
+                     (2, [31] * 5000)):
+        read = []
+
+        def stacks():
+            for k, m in enumerate(sizes):
+                read.append(k)
+                yield k, np.zeros((m, n))
+
+        chunks = []
+        for chunk in equilibria._chunks(stacks(), n):
+            # lazy: the stacks are read at most one level past the chunk
+            assert len(read) <= sum(map(len, chunks)) + len(chunk) + 1
+            chunks.append(chunk)
+        assert [k for chunk in chunks for k, _ in chunk] == list(range(len(sizes)))
+        rows = [sum(len(seeds) for _, seeds in chunk) for chunk in chunks]
+        for chunk, r in zip(chunks, rows):
+            assert len(chunk) == 1 or r * n * n <= budget
+        # a chunk closes only where its next level would pass the budget
+        for r, after in zip(rows, chunks[1:]):
+            assert (r + len(after[0][1])) * n * n > budget
+    sizes = [len(c) for c in equilibria._chunks(((k, np.zeros((28, 5))) for k in range(300)), 5)]
+    assert sizes == [142, 142, 16]
+
+
 def test_find_all_seed_order_irrelevant(inst5, tanh, monkeypatch):
     s = SystemInstance(graph=inst5, psi=tanh, pi=1.7)
     rng = np.random.default_rng(21)
     seeds = [rng.uniform(-2.5, 2.5, 5) for _ in range(8)]
     seeds += [0.01 * np.ones(5), 2.0 * np.ones(5), 0.3 * np.ones(5)]
-    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_: np.array(seeds))
+    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_, split: np.array(seeds))
     fwd = find_all(s)
-    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_: np.array(seeds[::-1]))
+    monkeypatch.setattr(equilibria, "_enumerate_seeds",
+                        lambda s_, split: np.array(seeds[::-1]))
     rev = find_all(s)
     assert len(fwd) == len(rev)
     for a, b in zip(fwd, rev):

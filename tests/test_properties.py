@@ -4,6 +4,8 @@ Each test draws 2 to 8 agents, a pairwise density, a triple density, a
 shared ratio (0 for two agents, which have no admissible triples) and a
 seed, with a fixed example sequence so every run checks the same draws.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +14,9 @@ import hyperdecide as hd
 from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _rk4_rows, integrate, jacobian,
                                   vector_field)
 from hyperdecide.errors import DivergenceError
-from hyperdecide.equilibria import ScalarReduced, consensus_roots, find_all, pi1_star
+from hyperdecide import equilibria
+from hyperdecide.equilibria import (ScalarReduced, _search_grid, consensus_roots, find_all,
+                                    pi1_star)
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
 
@@ -173,3 +177,35 @@ def test_consensus_equilibria_are_the_consensus_roots(g, pi):
              if r > ORIGIN_GAP]
     assert len(found) == len(roots)
     assert all(abs(c - r) <= 1e-9 for c, r in zip(found, roots))
+
+
+@st.composite
+def ratio_instances(draw):
+    """A drawn instance, or the same one with agent 0's triples scaled by 1.5,
+    so that no ratio is shared when agent 0 has triples."""
+    g = draw(instances())
+    if g.n > 2 and draw(st.booleans()):
+        b = np.array(g.b)
+        b[0] *= 1.5
+        g = hd.build(g.a2, b)
+    return g
+
+
+def _records(eqs):
+    return [(eq.state.tobytes(), eq.pi, eq.residual, eq.max_real_eig, eq.classification,
+             eq.is_consensus) for eq in eqs]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=ratio_instances(),
+       grid=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5, unique=True).map(sorted),
+       budget=st.sampled_from([1, 2_000, 5_000, 100_000]))
+def test_grid_search_levels_equal_find_all(g, grid, budget):
+    # bitwise, whether the levels share one Newton stack or split into
+    # chunks of one or more levels
+    psi = hd.tanh_family()
+    with mock.patch.object(equilibria, "_STACK_BUDGET", budget):
+        per_level = _search_grid(g, psi, grid)
+    assert len(per_level) == len(grid)
+    for pi, eqs in zip(grid, per_level):
+        assert _records(eqs) == _records(find_all(SystemInstance(g, psi, pi)))

@@ -62,26 +62,53 @@ SWEEP_SMOKE = """
 import json, sys
 import hyperdecide as hd
 from tracing import Tracer, layer_metrics
+counts = {"_enumerate_seeds": 0, "_newton_rows": 0}
+
+
+def counted(name):
+    fn = getattr(hd.equilibria, name)
+
+    def call(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    setattr(hd.equilibria, name, call)
+
+
+for name in counts:
+    counted(name)
 tracer = Tracer(memory=False)
 tracer.install(hd)
 with open(sys.argv[1]) as fh:
     g = hd.hypergraph.from_text(fh.read())
 result = hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8])
 m = layer_metrics(tracer.names, tracer.arrays())
-print(json.dumps({"branches": len(result.branches),
-                  "searches": m["equilibria.find_all.calls"],
-                  "newton_runs": m["equilibria.newton.runs"]}))
+print(json.dumps({"diagram": hd.bifurcation.diagram_csv(result),
+                  "seed_stacks": counts["_enumerate_seeds"],
+                  "newton_stacks": counts["_newton_rows"],
+                  "find_all_calls": m["equilibria.find_all.calls"],
+                  "newton_runs": m["equilibria.newton.runs"],
+                  "rescue_runs": m["bifurcation.rescue.runs"],
+                  "classify_calls": m["equilibria.classify.calls"]}))
 """
 
 
 def test_traced_sweep_runs_one_search_per_level():
     src = Path(hd.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TRACING.parent)]))
-    proc = subprocess.run([sys.executable, "-c", SWEEP_SMOKE, str(TRACING.parent / "inst5.txt")],
+    instance = TRACING.parent / "inst5.txt"
+    proc = subprocess.run([sys.executable, "-c", SWEEP_SMOKE, str(instance)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["branches"] > 0
-    # the per-level search and its Newton stack go through the traced names
-    assert out["searches"] == 3
-    assert out["newton_runs"] >= 3
+    g = hd.hypergraph.from_text(instance.read_text())
+    assert out["diagram"] == hd.bifurcation.diagram_csv(
+        hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8]))
+    # one seed stack per level, the three levels in one Newton stack that
+    # bypasses the traced one-level names; the only traced Newton runs are
+    # the five samples of bistability_interval (no rescue), each of which
+    # classifies the origin and the upper state
+    assert out["seed_stacks"] == 3
+    assert out["newton_stacks"] == 1 + 5
+    assert out["find_all_calls"] == 0
+    assert (out["newton_runs"], out["rescue_runs"], out["classify_calls"]) == (5, 0, 10)
