@@ -40,6 +40,10 @@ __all__ = [
 # an exact trajectory stays within max(|x0|_inf, pi), so only a failing
 # numerical run passes the guard.
 _BLOWUP = 1e6
+# Every RK4 step is recorded: a run from one state peaks at about 370 bytes
+# per step at n = 5, so a million steps, fifty times the default run's
+# 20 000, take about 370 MB.
+_MAX_RK4_STEPS = 1_000_000
 # default RK4 step and horizon
 DT = 0.01
 T_MAX = 200.0
@@ -113,7 +117,12 @@ def _jacobian(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarr
     levels for a stack (m, n), as ``_field``."""
     p = psi.eval(x)
     dp = psi.deriv(x)
-    j = np.asarray(pi)[..., None] * (g.a2 + 2.0 * _pair_rows(g, p)) * dp[..., None, :]
+    # pi (a2 + 2 b @ p) dp, scaled in place: no stack-sized temporaries
+    j = _pair_rows(g, p)
+    j *= 2.0
+    j += g.a2
+    j *= np.asarray(pi)[..., None]
+    j *= dp[..., None, :]
     j.reshape(-1, g.n ** 2)[:, ::g.n + 1] -= g.degrees
     return j
 
@@ -147,7 +156,8 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     raises DivergenceError for the whole stack. A finished row leaves the
     stack, so every row's result is bitwise the run from that row alone. A
     lone row runs as one state (n,), the field's cheapest call. The history
-    grows by each step's live rows; it is never preallocated.
+    grows by each step's live rows; it is never preallocated, and a step
+    count above ``_MAX_RK4_STEPS`` is refused before the first step.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
@@ -157,6 +167,9 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     if not np.isfinite(steps):
         raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite step count")
     n_steps = int(round(steps))
+    if n_steps > _MAX_RK4_STEPS:
+        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} gives {n_steps} steps; at most "
+                         f"{_MAX_RK4_STEPS} are allowed")
     m, n = x.shape
     if not m:
         return []

@@ -15,7 +15,11 @@ search runs chunks of whole levels of at most 1e5 / n^2 rows, and
 ``find_all`` is its one-level case. The seeds are c * ones for c in
 +-linspace(0, pi + 1, 11), the lifted consensus roots (with their negatives
 when alpha = 0) and six uniform draws on [-(pi + 1), pi + 1]^n from rng seed
-0. Two states are the same equilibrium when they lie within sup distance
+0. A grid search bisects the consensus roots of all its levels as one array,
+each element following the scalar loop, so the root counts give every
+level's seed count before any stack exists; each chunk's seeds are then
+built in one pass, with array arithmetic that is bitwise the per-level
+rule. Two states are the same equilibrium when they lie within sup distance
 max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
 (``_same_equilibrium``); the sweep's branch rescue uses the same test.
 """
@@ -121,21 +125,34 @@ class Equilibrium:
 
 def consensus_gap(r: ScalarReduced, eps, psi: Optional[SigmoidFamily] = None):
     """Value of the scalar consensus balance at eps (scalar or array)."""
-    psi = psi or tanh_family()
-    p = psi.eval(np.asarray(eps, dtype=float))
-    return -(1.0 + r.alpha) * np.asarray(eps, dtype=float) + r.pi * (p + r.alpha * p * p)
+    return _gap(r.alpha, r.pi, np.asarray(eps, dtype=float), psi or tanh_family())
 
 
-def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200):
+def _gap(alpha: float, pi, eps: np.ndarray, psi: SigmoidFamily) -> np.ndarray:
+    """The consensus balance at ``eps``, elementwise at the levels ``pi``."""
+    p = psi.eval(eps)
+    return -(1.0 + alpha) * eps + pi * (p + alpha * p * p)
+
+
+def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200) -> np.ndarray:
+    """Bisection of every bracket [lo, hi] of the arrays ``lo``, ``hi``
+    (``flo`` the function at ``lo``); ``fn(x, rows)`` is the function of the
+    brackets ``rows`` at ``x``. Each bracket runs the scalar loop on its own:
+    it halves at mid = (lo + hi) / 2, keeps [lo, mid] where flo * f(mid) <= 0
+    and [mid, hi] otherwise, and stops once hi - lo < tol or after ``itmax``
+    halvings. Returns the midpoints of the final brackets."""
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    rows = np.arange(lo.size)
     for _ in range(itmax):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < tol:
+        if not rows.size:
             break
+        mid = 0.5 * (lo[rows] + hi[rows])
+        fm = fn(mid, rows)
+        left = flo[rows] * fm <= 0.0
+        hi[rows[left]] = mid[left]
+        right = rows[~left]
+        lo[right], flo[right] = mid[~left], fm[~left]
+        rows = rows[~(hi[rows] - lo[rows] < tol)]
     return 0.5 * (lo + hi)
 
 
@@ -152,7 +169,9 @@ def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> li
     side is reached by Newton runs from negative seeds instead.
     """
     psi = psi or tanh_family()
-    return _consensus_roots(r, psi, _fold_split(r.alpha, psi))
+    roots = _consensus_roots(r.alpha, np.array([r.pi], dtype=float), psi,
+                             _fold_split(r.alpha, psi))[0]
+    return roots[~np.isnan(roots)].tolist()
 
 
 def _fold_split(alpha: float, psi: SigmoidFamily) -> float:
@@ -161,15 +180,21 @@ def _fold_split(alpha: float, psi: SigmoidFamily) -> float:
     return max(pi1_star(alpha, psi)[1], _ROOT_EPS_MIN)
 
 
-def _consensus_roots(r: ScalarReduced, psi: SigmoidFamily, split: float) -> list[float]:
-    """``consensus_roots`` with the fold split ``_fold_split`` given."""
-    fn = lambda e: float(consensus_gap(r, e, psi))
-    roots = []
-    for lo, hi in ((_ROOT_EPS_MIN, split), (split, max(_ROOT_EPS_MAX, 2.0 * r.pi))):
-        flo = fn(lo)
-        if flo * fn(hi) < 0.0:
-            roots.append(_bisect(fn, lo, hi, flo))
-    return roots
+def _consensus_roots(alpha: float, pis: np.ndarray, psi: SigmoidFamily,
+                     split: float) -> np.ndarray:
+    """``consensus_roots`` at every level of ``pis`` (L,) with the fold split
+    ``_fold_split`` given, as one bisection over both pieces of every level:
+    (L, 2), column 0 the root below the split and column 1 the root above
+    it, NaN where a piece holds none."""
+    pi = np.repeat(pis, 2)  # the two pieces of every level
+    lo = np.tile([_ROOT_EPS_MIN, split], pis.size)
+    hi = np.maximum(_ROOT_EPS_MAX, 2.0 * pi)
+    hi[::2] = split
+    flo = _gap(alpha, pi, lo, psi)
+    b = np.flatnonzero(flo * _gap(alpha, pi, hi, psi) < 0.0)
+    roots = np.full(pi.size, np.nan)
+    roots[b] = _bisect(lambda e, rows: _gap(alpha, pi[b[rows]], e, psi), lo[b], hi[b], flo[b])
+    return roots.reshape(pis.size, 2)
 
 
 def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, float]:
@@ -189,29 +214,25 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     psi = psi or tanh_family()
 
     def h(e):
-        p = float(psi.eval(np.asarray(e, dtype=float)))
+        p = psi.eval(e)
         return p + alpha * p * p
 
-    def h_prime(e):
-        p = float(psi.eval(np.asarray(e, dtype=float)))
-        dp = float(psi.deriv(np.asarray(e, dtype=float)))
-        return dp * (1.0 + 2.0 * alpha * p)
-
     def tangency(e):
-        return h(e) - e * h_prime(e)
+        p, dp = psi.eval(e), psi.deriv(e)
+        return h(e) - e * (dp * (1.0 + 2.0 * alpha * p))
 
-    lo = _ROOT_EPS_MIN
+    lo = np.array([_ROOT_EPS_MIN])
     flo = tangency(lo)
-    if flo >= 0.0:
+    if flo[0] >= 0.0:
         # alpha below about 1e-8: the tangency state (about 1.5 alpha) lies
         # under lo, where rounding hides the sign of the tangency condition
         eps_star = lo
-    elif tangency(_ROOT_EPS_MAX) <= 0.0:
+    elif tangency(np.array([_ROOT_EPS_MAX]))[0] <= 0.0:
         raise ValueError("no tangency state on [1e-8, 50]")
     else:
-        eps_star = _bisect(tangency, lo, _ROOT_EPS_MAX, flo)
+        eps_star = _bisect(lambda e, rows: tangency(e), lo, [_ROOT_EPS_MAX], flo)
     level = (1.0 + alpha) * eps_star / h(eps_star)
-    return float(level), float(eps_star)
+    return float(level[0]), float(eps_star[0])
 
 
 def _newton_rows(s: SystemInstance, X0, pi=None):
@@ -302,22 +323,18 @@ def _classify_rows(g: Hypergraph2, psi: SigmoidFamily, levels: Sequence[float], 
         spectra = np.linalg.eigvals(_jacobian(g, psi, np.reshape(levels, (-1, 1)), X))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolve did not converge: {exc}") from exc
+    tops = spectra.real.max(axis=1)
+    labels = np.where(tops < -_STABLE_TOL, "stable",
+                      np.where(tops > _STABLE_TOL, "unstable", "marginal"))
+    spread = np.abs(X - X.mean(axis=1, keepdims=True)).max(axis=1)
+    consensus = spread <= np.maximum(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(X).max(axis=1))
     eqs = []
-    for x, pi, residual, top in zip(X, levels, residuals, spectra.real.max(axis=1).tolist()):
-        label = ("stable" if top < -_STABLE_TOL else "unstable" if top > _STABLE_TOL
-                 else "marginal")
-        centered = x - x.mean()
+    for x, pi, residual, label, top, flag in zip(X, levels, residuals, labels.tolist(),
+                                                 tops.tolist(), consensus.tolist()):
         state = x.copy()
         state.setflags(write=False)
-        eqs.append(Equilibrium(
-            state=state,
-            pi=pi,
-            residual=float(residual),
-            classification=label,
-            max_real_eig=top,
-            is_consensus=bool(np.abs(centered).max()
-                              <= max(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(x).max())),
-        ))
+        eqs.append(Equilibrium(state=state, pi=pi, residual=float(residual),
+                               classification=label, max_real_eig=top, is_consensus=flag))
     return eqs
 
 
@@ -335,24 +352,25 @@ def newton_find(s: SystemInstance, x0) -> Equilibrium:
     return classify(s, x, res)
 
 
-def _enumerate_seeds(s: SystemInstance, split: Optional[float]) -> np.ndarray:
-    """The seed stack (m, n) of the global search, in the order the search
-    keeps the first of two equal results: 0 * ones, then +c * ones and
-    -c * ones for each c > 0 of the consensus grid, then the lifted
-    consensus roots (each followed by its negative when alpha = 0), then the
-    uniform rows. ``split`` is ``_fold_split`` of the shared ratio, None
-    without one."""
-    bound = s.pi + 1.0
-    c = np.linspace(0.0, bound, _SEED_CONSENSUS_POINTS)[1:]
-    scales = [np.zeros(1), np.column_stack([c, -c]).ravel()]
-    if s.graph.alpha is not None:
-        roots = np.array(_consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi,
-                                          split))
-        scales.append(np.column_stack([roots, -roots]).ravel() if s.graph.alpha == 0.0
-                      else roots)
-    uniform = np.random.default_rng(_SEED_RNG).uniform(
-        -bound, bound, (_SEED_RANDOM_COUNT, s.graph.n))
-    return np.vstack([np.outer(np.concatenate(scales), np.ones(s.graph.n)), uniform])
+def _seed_stack(pis: np.ndarray, roots: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """The seed stacks (m, n) of the global search at the levels ``pis``
+    (L,), one level after another, each in the order the search keeps the
+    first of two equal results: 0 * ones, then +c * ones and -c * ones for
+    each c > 0 of linspace(0, pi + 1, 11), then c * ones for each lifted
+    consensus root c of the level's row of ``roots`` (L, k) that is not NaN,
+    then the uniform rows -(pi + 1) + 2 (pi + 1) U for the draws ``uniform``
+    U (6, n), the arithmetic of ``Generator.uniform``."""
+    bound = pis + 1.0
+    c = np.linspace(0.0, bound, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
+    scales = np.hstack([np.zeros((pis.size, 1)), np.stack([c, -c], axis=2).reshape(pis.size, -1),
+                        roots])
+    k = scales.shape[1]
+    stack = np.empty((pis.size, k + len(uniform), uniform.shape[1]))
+    stack[:, :k] = scales[..., None]
+    stack[:, k:] = -bound[:, None, None] + (2.0 * bound)[:, None, None] * uniform
+    keep = np.ones(stack.shape[:2], dtype=bool)
+    keep[:, :k] = ~np.isnan(scales)
+    return stack[keep]
 
 
 def _same_equilibrium(x: np.ndarray, y: np.ndarray):
@@ -361,54 +379,73 @@ def _same_equilibrium(x: np.ndarray, y: np.ndarray):
     return np.abs(x - y).max(axis=-1) < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max())
 
 
-def _chunks(stacks, n: int):
-    """Consecutive (level, seeds) pairs of ``stacks`` grouped into lists of
-    whole levels, each holding at most ``_STACK_BUDGET`` / n^2 seed rows
-    unless it is a single level. Reads ``stacks`` at most one level past
-    the chunk it yields."""
-    chunk, rows = [], 0
-    for level, seeds in stacks:
-        if chunk and (rows + len(seeds)) * n * n > _STACK_BUDGET:
-            yield chunk
-            chunk, rows = [], 0
-        chunk.append((level, seeds))
-        rows += len(seeds)
-    if chunk:
-        yield chunk
+def _chunks(sizes, n: int):
+    """Consecutive ranges (a, b) of the levels whose seed counts are
+    ``sizes``: whole levels, each range holding at most ``_STACK_BUDGET`` /
+    n^2 seed rows unless it is a single level."""
+    before = np.concatenate([[0], np.cumsum(sizes)])  # the rows before each level
+    cap = _STACK_BUDGET // (n * n)
+    a = 0
+    while a < len(sizes):
+        # the most levels from a on whose rows fit in cap, at least one
+        b = max(a + 1, int(np.searchsorted(before, before[a] + cap, "right")) - 1)
+        yield a, b
+        a = b
 
 
 def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equilibrium]]:
     """The global search at every effort level of ``levels``, level by level
-    the list ``find_all`` gives there. Each level's seed stack is built when
-    its chunk (``_chunks``) runs; a chunk's rows advance as one Newton stack,
-    each at its own level. Each level is deduplicated in seed order by
-    ``_same_equilibrium`` and sorted by sup norm, and the chunk is classified
-    at once."""
-    split = None if g.alpha is None else _fold_split(g.alpha, psi)
-    instances = (SystemInstance(graph=g, psi=psi, pi=float(pi)) for pi in levels)
+    the list ``find_all`` gives there. The consensus roots of all levels come
+    from one bisection, and their counts give every level's seed count, by
+    which ``_chunks`` groups the levels; a chunk's seed stack is built when
+    the chunk runs (``_search_chunk``)."""
+    pis = np.array(levels, dtype=float).reshape(-1)
+    if not pis.size:
+        return []
+    for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
+        SystemInstance(graph=g, psi=psi, pi=float(pi))
+    if g.alpha is None:
+        roots = np.empty((pis.size, 0))
+    else:
+        roots = _consensus_roots(g.alpha, pis, psi, _fold_split(g.alpha, psi))
+        if g.alpha == 0.0:  # each root followed by its negative
+            roots = np.stack([roots, -roots], axis=2).reshape(pis.size, -1)
+    # 0, +-c for each c > 0 of the consensus grid, the roots, the uniform rows
+    sizes = (1 + 2 * (_SEED_CONSENSUS_POINTS - 1) + np.count_nonzero(~np.isnan(roots), axis=1)
+             + _SEED_RANDOM_COUNT)
+    uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
     out: list[list[Equilibrium]] = []
-    for chunk in _chunks(((s, _enumerate_seeds(s, split)) for s in instances), g.n):
-        pis = [s.pi for s, _ in chunk]
-        sizes = [len(seeds) for _, seeds in chunk]
-        xs, ress, causes = _newton_rows(chunk[0][0], np.vstack([seeds for _, seeds in chunk]),
-                                        np.repeat(pis, sizes))
-        kept, counts, start = [], [], 0
-        for size in sizes:
-            rows = start + np.flatnonzero(causes[start:start + size] == "converged")
-            found = []
-            # keep the first row left, drop every row equal to it: the rows a
-            # scan in seed order keeps, each against the states kept before
-            while rows.size:
-                found.append(rows[0])
-                rows = rows[~_same_equilibrium(xs[rows], xs[rows[0]])]
-            found.sort(key=lambda i: (float(np.abs(xs[i]).max()), tuple(xs[i])))
-            kept += found
-            counts.append(len(found))
-            start += size
-        eqs = _classify_rows(g, psi, np.repeat(pis, counts).tolist(), xs[kept], ress[kept])
-        ends = np.cumsum(counts).tolist()
-        out += [eqs[a:b] for a, b in zip([0] + ends, ends)]
+    for a, b in _chunks(sizes, g.n):
+        out += _search_chunk(g, psi, pis[a:b], sizes[a:b],
+                             _seed_stack(pis[a:b], roots[a:b], uniform))
     return out
+
+
+def _search_chunk(g: Hypergraph2, psi: SigmoidFamily, pis: np.ndarray, sizes,
+                  seeds: np.ndarray) -> list[list[Equilibrium]]:
+    """The global search from the seed stack ``seeds``, which holds
+    ``sizes[l]`` rows at level ``pis[l]`` for each level in turn: one Newton
+    stack, each row at its own level; each level deduplicated in seed order
+    by ``_same_equilibrium`` and sorted by sup norm; the whole chunk
+    classified at once."""
+    s = SystemInstance(graph=g, psi=psi, pi=float(pis[0]))
+    xs, ress, causes = _newton_rows(s, seeds, np.repeat(pis, sizes))
+    kept, counts, start = [], [], 0
+    for size in sizes:
+        rows = start + np.flatnonzero(causes[start:start + size] == "converged")
+        found = []
+        # keep the first row left, drop every row equal to it: the rows a
+        # scan in seed order keeps, each against the states kept before
+        while rows.size:
+            found.append(rows[0])
+            rows = rows[~_same_equilibrium(xs[rows], xs[rows[0]])]
+        found.sort(key=lambda i: (float(np.abs(xs[i]).max()), tuple(xs[i])))
+        kept += found
+        counts.append(len(found))
+        start += size
+    eqs = _classify_rows(g, psi, np.repeat(pis, counts).tolist(), xs[kept], ress[kept])
+    ends = np.cumsum(counts).tolist()
+    return [eqs[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def find_all(s: SystemInstance) -> list[Equilibrium]:

@@ -158,7 +158,9 @@ def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
     rows = p.size // n
     bins = np.arange(0, rows * n * n, n * n)[:, None] + t.dest
     v = p.take(t.src, axis=-1) * t.w2
-    return np.bincount(bins.ravel(), v.ravel(), rows * n * n).reshape(p.shape + (n,))
+    # bincount gives integers when there are no triples
+    mass = np.bincount(bins.ravel(), v.ravel(), rows * n * n).astype(float, copy=False)
+    return mass.reshape(p.shape + (n,))
 
 
 def _received_mass(g: Hypergraph2) -> np.ndarray:

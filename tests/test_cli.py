@@ -296,6 +296,7 @@ def test_out_of_range_values_are_usage_errors(command, flags, key, value, given_
 @pytest.mark.parametrize("args, code", [
     (["sweep", "--pi-step", "1e-320"], 2),
     (["simulate", "--pi", "1.7", "--t-max", "1e300", "--dt", "1e-300"], 1),
+    (["simulate", "--pi", "1.7", "--x0", "consensus:1", "--dt", "1e-9"], 1),  # 2e11 steps
 ])
 def test_step_counts_that_overflow(args, code, inst_file, tmp_path, capsys):
     command, *flags = args

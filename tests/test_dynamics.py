@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hyperdecide as hd
+from hyperdecide import dynamics
 from hyperdecide.errors import DimensionError, DivergenceError
 from hyperdecide.dynamics import (
     SystemInstance,
@@ -109,6 +110,27 @@ def test_integrate_refuses_a_step_count_that_is_not_finite(inst5, tanh):
     s = _sys(inst5, 1.7, tanh)
     with pytest.raises(ValueError):
         integrate(s, np.zeros(5), dt=1e-300, t_max=1e300)
+
+
+def test_integrate_refuses_a_step_count_past_the_cap(inst5, tanh, monkeypatch):
+    # refused before any step: the field is never called
+    s = _sys(inst5, 1.7, tanh)
+    calls = []
+
+    def still(s_, x):
+        calls.append(x)
+        return np.zeros_like(x)
+
+    monkeypatch.setattr(dynamics, "vector_field", still)
+    cap = dynamics._MAX_RK4_STEPS
+    with pytest.raises(ValueError, match=f"gives {cap + 1} steps; at most {cap} are allowed"):
+        integrate(s, np.zeros(5), dt=1.0, t_max=cap + 1.0)
+    with pytest.raises(ValueError, match=f"at most {cap} are allowed"):
+        _rk4_rows(s, np.zeros((3, 5)), dt=1e-9)
+    assert not calls
+    # the cap itself runs; a still field stops it at step 0
+    assert integrate(s, np.zeros(5), dt=1.0, t_max=float(cap)).states.shape == (1, 5)
+    assert len(calls) == 1
 
 
 def test_integrate_stops_when_the_state_turns_nan(inst5, tanh):

@@ -326,10 +326,10 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
     assert list(causes) == ["diverged", "singular", "converged", "converged"]
     with pytest.raises(SingularJacobian):
         _newton_raw(s, singular)
-    default_seeds = equilibria._enumerate_seeds
-    monkeypatch.setattr(equilibria, "_enumerate_seeds",
-                        lambda s_, split: np.vstack([default_seeds(s_, split), diverging,
-                                                     singular]))
+    search_chunk = equilibria._search_chunk
+    monkeypatch.setattr(equilibria, "_search_chunk",
+                        lambda g, psi, pis, sizes, seeds: search_chunk(
+                            g, psi, pis, sizes + 2, np.vstack([seeds, diverging, singular])))
     found = find_all(s)
     assert len(found) == len(plain) == 3
     for a, b in zip(found, plain):
@@ -411,27 +411,44 @@ def test_chunks_cover_the_grid_in_whole_levels_within_the_budget():
     budget = equilibria._STACK_BUDGET
     for n, sizes in ((5, [28] * 300), (5, [27, 29, 5000, 0, 1, 28] * 40), (120, [28] * 7),
                      (2, [31] * 5000)):
-        read = []
-
-        def stacks():
-            for k, m in enumerate(sizes):
-                read.append(k)
-                yield k, np.zeros((m, n))
-
-        chunks = []
-        for chunk in equilibria._chunks(stacks(), n):
-            # lazy: the stacks are read at most one level past the chunk
-            assert len(read) <= sum(map(len, chunks)) + len(chunk) + 1
-            chunks.append(chunk)
-        assert [k for chunk in chunks for k, _ in chunk] == list(range(len(sizes)))
-        rows = [sum(len(seeds) for _, seeds in chunk) for chunk in chunks]
-        for chunk, r in zip(chunks, rows):
-            assert len(chunk) == 1 or r * n * n <= budget
+        chunks = list(equilibria._chunks(sizes, n))
+        assert [k for a, b in chunks for k in range(a, b)] == list(range(len(sizes)))
+        rows = [sum(sizes[a:b]) for a, b in chunks]
+        for (a, b), r in zip(chunks, rows):
+            assert b - a == 1 or r * n * n <= budget
         # a chunk closes only where its next level would pass the budget
-        for r, after in zip(rows, chunks[1:]):
-            assert (r + len(after[0][1])) * n * n > budget
-    sizes = [len(c) for c in equilibria._chunks(((k, np.zeros((28, 5))) for k in range(300)), 5)]
+        for r, (a, _) in zip(rows, chunks[1:]):
+            assert (r + sizes[a]) * n * n > budget
+    sizes = [b - a for a, b in equilibria._chunks([28] * 300, 5)]
     assert sizes == [142, 142, 16]
+    # a chunk may fill the budget exactly (4 000 rows at n = 5), not pass it
+    assert list(equilibria._chunks([2000, 2000, 1, 3999, 2], 5)) == [(0, 2), (2, 4), (4, 5)]
+
+
+def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
+    # lazy: a chunk's seed stack is built right before that chunk is
+    # searched, so at most one stack is held at a time
+    events = []
+    seed_stack = equilibria._seed_stack
+
+    def build(pis, roots, uniform):
+        events.append(("build", len(pis)))
+        return seed_stack(pis, roots, uniform)
+
+    def search(g, psi, pis, sizes, seeds):
+        assert len(seeds) == sum(sizes)
+        assert len(pis) == 1 or len(seeds) * g.n ** 2 <= equilibria._STACK_BUDGET
+        events.append(("search", len(pis)))
+        return [[] for _ in pis]
+
+    monkeypatch.setattr(equilibria, "_seed_stack", build)
+    monkeypatch.setattr(equilibria, "_search_chunk", search)
+    grid = 0.005 * np.arange(1, 301)
+    assert len(equilibria._search_grid(inst5, tanh, grid)) == 300
+    # 27 seeds at the 288 levels below the fold level 1.4436, 29 above it:
+    # 148 levels of 27 seeds fill 3 996 of the 4 000 rows, then 140 of 27
+    # and 7 of 29
+    assert events == [(kind, k) for k in (148, 147, 5) for kind in ("build", "search")]
 
 
 def test_find_all_seed_order_irrelevant(inst5, tanh, monkeypatch):
@@ -439,10 +456,12 @@ def test_find_all_seed_order_irrelevant(inst5, tanh, monkeypatch):
     rng = np.random.default_rng(21)
     seeds = [rng.uniform(-2.5, 2.5, 5) for _ in range(8)]
     seeds += [0.01 * np.ones(5), 2.0 * np.ones(5), 0.3 * np.ones(5)]
-    monkeypatch.setattr(equilibria, "_enumerate_seeds", lambda s_, split: np.array(seeds))
+    search_chunk = equilibria._search_chunk
+    stand_in = lambda order: lambda g, psi, pis, sizes, _: search_chunk(
+        g, psi, pis, [len(order)], np.array(order))
+    monkeypatch.setattr(equilibria, "_search_chunk", stand_in(seeds))
     fwd = find_all(s)
-    monkeypatch.setattr(equilibria, "_enumerate_seeds",
-                        lambda s_, split: np.array(seeds[::-1]))
+    monkeypatch.setattr(equilibria, "_search_chunk", stand_in(seeds[::-1]))
     rev = find_all(s)
     assert len(fwd) == len(rev)
     for a, b in zip(fwd, rev):

@@ -15,8 +15,8 @@ from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _rk4_rows, integ
                                   vector_field)
 from hyperdecide.errors import DivergenceError
 from hyperdecide import equilibria
-from hyperdecide.equilibria import (ScalarReduced, _search_grid, consensus_roots, find_all,
-                                    pi1_star)
+from hyperdecide.equilibria import (ScalarReduced, _search_grid, consensus_gap, consensus_roots,
+                                    find_all, pi1_star)
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
 
@@ -209,3 +209,124 @@ def test_grid_search_levels_equal_find_all(g, grid, budget):
     assert len(per_level) == len(grid)
     for pi, eqs in zip(grid, per_level):
         assert _records(eqs) == _records(find_all(SystemInstance(g, psi, pi)))
+
+
+def plain_bisect(fn, lo, hi, flo):
+    """A plain scalar bisection to 1e-12 in at most 200 halvings."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = fn(mid)
+        if flo * fm <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def plain_pi1_star(alpha, psi):
+    """The fold level and state of the consensus balance by plain scalar
+    bisection of the tangency condition h(e) = e h'(e) on [1e-8, 50]."""
+    def h(e):
+        p = float(psi.eval(np.asarray(e)))
+        return p + alpha * p * p
+
+    def tangency(e):
+        p, dp = float(psi.eval(np.asarray(e))), float(psi.deriv(np.asarray(e)))
+        return h(e) - e * (dp * (1.0 + 2.0 * alpha * p))
+
+    if alpha == 0.0:
+        return 1.0, 0.0
+    flo = tangency(1e-8)
+    eps = 1e-8 if flo >= 0.0 else plain_bisect(tangency, 1e-8, 50.0, flo)
+    return (1.0 + alpha) * eps / h(eps), eps
+
+
+def plain_consensus_roots(alpha, pi, psi):
+    """The positive consensus roots at one level: each piece of [1e-8,
+    max(50, 2 pi)] split at the fold state, bisected by scalar calls."""
+    r = ScalarReduced(alpha=alpha, pi=pi)
+    gap = lambda e: float(consensus_gap(r, e, psi))
+    split = max(plain_pi1_star(alpha, psi)[1], 1e-8)
+    roots = []
+    for lo, hi in ((1e-8, split), (split, max(50.0, 2.0 * pi))):
+        flo = gap(lo)
+        if flo * gap(hi) < 0.0:
+            roots.append(plain_bisect(gap, lo, hi, flo))
+    return roots
+
+
+def plain_seeds(s):
+    """The seed rule at one level, in seed order: 0, then +-c for each c > 0
+    of linspace(0, pi + 1, 11), then the consensus roots (each followed by
+    its negative when alpha = 0), all times ones; then six
+    ``Generator.uniform`` rows on [-(pi + 1), pi + 1] from rng seed 0."""
+    bound = s.pi + 1.0
+    scales = [0.0]
+    for c in np.linspace(0.0, bound, 11)[1:]:
+        scales += [c, -c]
+    alpha = s.graph.alpha
+    if alpha is not None:
+        for root in plain_consensus_roots(alpha, s.pi, s.psi):
+            scales += [root, -root] if alpha == 0.0 else [root]
+    uniform = np.random.default_rng(0).uniform(-bound, bound, (6, s.graph.n))
+    return np.vstack([np.outer(scales, np.ones(s.graph.n)), uniform])
+
+
+@st.composite
+def ratios_and_levels(draw):
+    """A shared ratio (0, tiny, moderate or large) and up to 12 effort
+    levels: below the fold level, within a few ulps or a relative 1e-9 or
+    1e-3 of it, on the sweep range or up to 1e13."""
+    alpha = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 3.0),
+                           st.floats(3.0, 1e3)))
+    star = pi1_star(alpha)[0]
+    near = st.sampled_from([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]).map(
+        lambda d: star * (1.0 + d))
+    level = st.one_of(st.floats(1e-6, star, exclude_max=True), near, st.floats(0.05, 5.0),
+                      st.floats(5.0, 1e13))
+    return alpha, draw(st.lists(level, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=ratios_and_levels())
+@example(case=(1.0, np.linspace(0.005, 5.0, 1000).tolist()))
+@example(case=(0.0, [0.5, 1.0, 1.0 + 1e-15, 1.7, 60.0, 1e13]))
+def test_array_bisection_roots_equal_per_level_roots(case):
+    # bitwise: one bisection over every level gives each level the roots
+    # of its own scalar loop
+    alpha, levels = case
+    psi = hd.tanh_family()
+    assert pi1_star(alpha, psi) == plain_pi1_star(alpha, psi)
+    roots = equilibria._consensus_roots(alpha, np.array(levels), psi,
+                                        equilibria._fold_split(alpha, psi))
+    assert roots.shape == (len(levels), 2)
+    for pi, row in zip(levels, roots):
+        per_level = consensus_roots(ScalarReduced(alpha=alpha, pi=pi), psi)
+        assert row[~np.isnan(row)].tolist() == per_level == plain_consensus_roots(alpha, pi, psi)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=ratio_instances(),
+       grid=st.lists(st.one_of(st.floats(0.05, 5.0), st.floats(5.0, 1e13)), min_size=1,
+                     max_size=40, unique=True).map(sorted),
+       budget=st.sampled_from([1, 2_000, 5_000, 100_000]))
+def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
+    # bitwise, chunk by chunk, with every level's row count
+    psi = hd.tanh_family()
+    chunks = []
+
+    def record(g_, psi_, pis, sizes, seeds):
+        chunks.append((pis.tolist(), sizes.tolist(), seeds))
+        return [[] for _ in pis]
+
+    with mock.patch.object(equilibria, "_STACK_BUDGET", budget), \
+            mock.patch.object(equilibria, "_search_chunk", record):
+        _search_grid(g, psi, grid)
+    assert [pi for pis, _, _ in chunks for pi in pis] == grid
+    for pis, sizes, seeds in chunks:
+        plain = [plain_seeds(SystemInstance(g, psi, pi)) for pi in pis]
+        assert sizes == [len(p) for p in plain]
+        assert seeds.shape == (sum(sizes), g.n)
+        assert seeds.tobytes() == np.vstack(plain).tobytes()

@@ -62,7 +62,7 @@ SWEEP_SMOKE = """
 import json, sys
 import hyperdecide as hd
 from tracing import Tracer, layer_metrics
-counts = {"_enumerate_seeds": 0, "_newton_rows": 0}
+counts = {"_seed_stack": 0, "_newton_rows": 0}
 
 
 def counted(name):
@@ -84,7 +84,7 @@ with open(sys.argv[1]) as fh:
 result = hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8])
 m = layer_metrics(tracer.names, tracer.arrays())
 print(json.dumps({"diagram": hd.bifurcation.diagram_csv(result),
-                  "seed_stacks": counts["_enumerate_seeds"],
+                  "seed_stacks": counts["_seed_stack"],
                   "newton_stacks": counts["_newton_rows"],
                   "find_all_calls": m["equilibria.find_all.calls"],
                   "newton_runs": m["equilibria.newton.runs"],
@@ -104,11 +104,11 @@ def test_traced_sweep_runs_one_search_per_level():
     g = hd.hypergraph.from_text(instance.read_text())
     assert out["diagram"] == hd.bifurcation.diagram_csv(
         hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8]))
-    # one seed stack per level, the three levels in one Newton stack that
-    # bypasses the traced one-level names; the only traced Newton runs are
-    # the five samples of bistability_interval (no rescue), each of which
-    # classifies the origin and the upper state
-    assert out["seed_stacks"] == 3
+    # the three levels in one chunk: one seed stack and one Newton stack
+    # that bypass the traced one-level names; the only traced Newton runs
+    # are the five samples of bistability_interval (no rescue), each of
+    # which classifies the origin and the upper state
+    assert out["seed_stacks"] == 1
     assert out["newton_stacks"] == 1 + 5
     assert out["find_all_calls"] == 0
     assert (out["newton_runs"], out["rescue_runs"], out["classify_calls"]) == (5, 0, 10)
