@@ -52,7 +52,6 @@ from .spectra import (
     perron_pair,
     h_matrix,
     thresholds,
-    with_pi1_star,
     thresholds_text,
 )
 from .dynamics import (

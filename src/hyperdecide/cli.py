@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .dynamics import DT, T_MAX, SystemInstance, _check_start, integrate, write_
 from .equilibria import find_all, normal_form_coeffs, pi1_star, write_equilibria_csv
 from .bifurcation import (PI_MAX, PI_MIN, PI_STEP, make_grid, sweep, write_diagram_csv,
                           write_diagram_svg)
-from .spectra import thresholds, thresholds_text, with_pi1_star
+from .spectra import thresholds, thresholds_text
 
 __all__ = ["main", "build_parser"]
 
@@ -180,8 +181,7 @@ def _cmd_thresholds(run, parser):
     g = load(run["file"])
     t = thresholds(g)
     if g.alpha is not None:
-        star, _ = pi1_star(g.alpha)
-        t = with_pi1_star(t, star)
+        t = replace(t, pi1_star=pi1_star(g.alpha)[0])  # Thresholds re-checks the ordering
     sys.stdout.write(thresholds_text(t))
     return 0
 

@@ -11,7 +11,7 @@ four numbers travel together.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "perron_pair",
     "h_matrix",
     "thresholds",
-    "with_pi1_star",
     "thresholds_text",
 ]
 
@@ -149,11 +148,6 @@ def thresholds(g: Hypergraph2) -> Thresholds:
     hs = symmetric_eigenvalues(0.5 * (h + h.T))
     pi_tilde1 = 1.0 / float(hs.reals[-1])
     return Thresholds(pi1=pi1, pi2=pi2, pi_tilde1=pi_tilde1)
-
-
-def with_pi1_star(t: Thresholds, pi1_star: float) -> Thresholds:
-    """Attach the fold level, re-checking the ordering."""
-    return replace(t, pi1_star=pi1_star)
 
 
 def thresholds_text(t: Thresholds) -> str:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from hyperdecide.errors import (
     SelfLoopError,
     ZeroDegreeError,
 )
-from hyperdecide.hypergraph import compute_degrees, is_connected, parse_arrays
+from hyperdecide import hypergraph
+from hyperdecide.hypergraph import (_pair_rows, _triple_term, compute_degrees, is_connected,
+                                    parse_arrays)
 
 
 def _k4():
@@ -392,6 +395,69 @@ def test_parse_error_wrong_width(inst5):
     bad = list(lines)
     bad[2] = " ".join(bad[2].split()[:-1])  # first matrix row loses a column
     _expect_format_error("\n".join(bad) + "\n", 3)
+
+
+def _lines_with(lines, rows):
+    """The text of ``lines`` with line k replaced by ``rows[k]``."""
+    return "\n".join(rows.get(k, ln) for k, ln in enumerate(lines, start=1)) + "\n"
+
+
+def test_parse_errors_name_the_row(inst5):
+    # the line and message of the failing row, not of the block: [B2] row 2
+    # is line 16, [B3] row 3 line 23, [B5] starts at line 32
+    lines = hd.to_text(inst5).splitlines()
+    cases = [
+        (_lines_with(lines, {16: " ".join(lines[15].split()[:-1])}), 16,
+         "[B2] row 2 has 4 entries, expected 5"),
+        (_lines_with(lines, {23: lines[22] + " 0"}), 23, "[B3] row 3 has 6 entries, expected 5"),
+        (_lines_with(lines, {23: "1.0.0 " + " ".join(lines[22].split()[1:])}), 23,
+         "[B3] row 3 has a non-numeric entry"),
+        ("\n".join(lines[:31]) + "\n", 31, "expected section marker [B5]"),
+        ("\n".join(lines[:35]) + "\n", 35, "unexpected end of file inside [B5]"),
+    ]
+    for text, line, message in cases:
+        with pytest.raises(FormatError) as err:
+            parse_arrays(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+
+def test_parse_reads_every_float_spelling(inst5):
+    # the spellings float() takes, bit for bit
+    lines = hd.to_text(inst5).splitlines()
+    words = ["1_0", "nan", "-Infinity", "-nan", " +1e-320", "\u0661"]
+    _, b, _ = parse_arrays(_lines_with(lines, {9: " ".join(words[:5]),
+                                               10: " ".join(words[1:])}))
+    assert b[0, :2].tobytes() == np.array([[float(w) for w in words[:5]],
+                                           [float(w) for w in words[1:]]]).tobytes()
+
+
+def test_contractions_equal_their_one_call_formulas(inst5):
+    # bitwise: _pair_rows in row blocks against one bincount over the whole
+    # stack, at heights around the block size; _triple_term's in-place
+    # products against the one-expression product
+    rng = np.random.default_rng(5)
+    for g in (inst5, hd.random_instance(12, 0.6, 0.4, 0.7, 3)):
+        t, n = g.triples, g.n
+        for budget in (hypergraph._SCATTER_ENTRIES, 3 * t.dest.size):
+            block = budget // t.dest.size
+            for height in sorted({1, block - 1, block, block + 1} - {0}):
+                P = np.tanh(rng.uniform(-2.0, 2.0, (height, n)))
+                bins = np.arange(0, height * n * n, n * n)[:, None] + t.dest
+                whole = np.bincount(bins.ravel(), (P.take(t.src, axis=-1) * t.w2).ravel(),
+                                    height * n * n).reshape(height, n, n)
+                with mock.patch.object(hypergraph, "_SCATTER_ENTRIES", budget):
+                    assert _pair_rows(g, P).tobytes() == whole.tobytes()
+                    assert _pair_rows(g, P[0]).tobytes() == whole[0].tobytes()
+                for p in (P, P[0]):
+                    pj, pk = p[..., t.term_j], p[..., t.term_k]
+                    assert _triple_term(g, p).tobytes() == np.add.reduceat(
+                        pj * pk * t.term_w, t.term_starts, axis=-1).tobytes()
+
+
+def test_pair_rows_without_triples_gives_floats():
+    g = hd.build(_k4(), np.zeros((4, 4, 4)))
+    rows = _pair_rows(g, np.ones((3, 4)))
+    assert rows.dtype == float and rows.shape == (3, 4, 4) and not rows.any()
 
 
 def test_header_alpha_mismatch(inst5):

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hyperdecide as hd
-from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _rk4_rows, integrate, jacobian,
-                                  vector_field)
+from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian,
+                                  _rk4_rows, integrate, jacobian, vector_field)
 from hyperdecide.errors import DivergenceError
 from hyperdecide import equilibria
-from hyperdecide.equilibria import (ScalarReduced, _search_grid, consensus_gap, consensus_roots,
-                                    find_all, pi1_star)
+from hyperdecide.equilibria import (ScalarReduced, _newton_rows, _search_grid, consensus_gap,
+                                    consensus_roots, find_all, pi1_star)
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
 
@@ -330,3 +330,123 @@ def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
         assert sizes == [len(p) for p in plain]
         assert seeds.shape == (sum(sizes), g.n)
         assert seeds.tobytes() == np.vstack(plain).tobytes()
+
+
+def sequential_newton_rows(s, X0, pi, log=None):
+    """The Newton loop of ``_newton_rows`` with the line search that tries
+    one damping factor at a time, 2^-1 down to 2^-29, each one field call
+    for every row still searching; every matrix solved on its own.
+    ``log`` collects (factor index, row) of every standstill."""
+    g, psi = s.graph, s.psi
+    x = np.array(_check_state(s, X0), dtype=float)
+    pi = np.reshape(pi, (-1, 1))
+    limit = np.maximum(1e12, 10.0 * pi[:, 0])
+    fx = _field(g, psi, pi, x)
+    res = np.abs(fx).max(axis=1)
+    step_inf = np.full(len(x), np.inf)
+    cause = np.full(len(x), "diverged", dtype=object)
+    live = np.arange(len(x))
+    for _ in range(100):
+        done = (res[live] < 1e-13) & (step_inf[live] < 1e-9)
+        cause[live[done]] = "converged"
+        live = live[~done]
+        live = live[(np.abs(x[live]).max(axis=1) <= limit[live]) & np.isfinite(res[live])]
+        if not live.size:
+            break
+        j, rhs = _jacobian(g, psi, pi[live], x[live]), -fx[live]
+        step, solved = np.empty_like(rhs), np.ones(live.size, dtype=bool)
+        for k in range(live.size):
+            try:
+                step[k] = np.linalg.solve(j[k], rhs[k])
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        failed = live[~solved]
+        cause[failed] = np.where(res[failed] < RESIDUAL_TOL, "converged", "singular")
+        live, step = live[solved], step[solved]
+        step_inf[live] = np.abs(step).max(axis=1)
+        x_l, r_l, pi_l = x[live], res[live], pi[live]
+        x_new = x_l + step
+        f_new = _field(g, psi, pi_l, x_new)
+        r_new = np.abs(f_new).max(axis=1)
+        moved = (x_new != x_l).any(axis=1)
+        better = moved & (r_new < r_l)
+        pending = np.flatnonzero(moved & ~better)
+        for i, lam in enumerate(0.5 ** np.arange(1, 30), start=1):
+            trial = x_l[pending] + lam * step[pending]
+            go = (trial != x_l[pending]).any(axis=1)
+            if log is not None:
+                log += [(i, int(live[r])) for r in pending[~go]]
+            pending, trial = pending[go], trial[go]
+            if not pending.size:
+                break
+            f_t = _field(g, psi, pi_l[pending], trial)
+            r_t = np.abs(f_t).max(axis=1)
+            hit = r_t < r_l[pending]
+            k = pending[hit]
+            x_new[k], f_new[k], r_new[k], better[k] = trial[hit], f_t[hit], r_t[hit], True
+            pending = pending[~hit]
+        stuck = live[~better]
+        cause[stuck] = np.where(res[stuck] < RESIDUAL_TOL, "converged", "stalled")
+        live = live[better]
+        x[live], fx[live], res[live] = x_new[better], f_new[better], r_new[better]
+    cause[live] = np.where(res[live] < RESIDUAL_TOL, "converged", "diverged")
+    return x, res, cause
+
+
+def rounded_tanh(quantum):
+    """tanh rounded to multiples of ``quantum`` (tanh itself for 0): the
+    residual cannot fall much below the quantum, so rows stall, and a row's
+    standstill factor follows its step size."""
+    tanh = hd.tanh_family()
+    if not quantum:
+        return tanh
+    return hd.SigmoidFamily(eval=lambda x: np.round(np.tanh(x) / quantum) * quantum,
+                            deriv=tanh.deriv, deriv2=tanh.deriv2, name="rounded-tanh")
+
+
+def line_search_case(g, quantum, seed, m, seed_rule):
+    """The system and the starts (X0, levels): m uniform rows on [-3, 3]^n
+    at uniform levels on [0.2, 5], after the seed rule's stack at the first
+    level when ``seed_rule``."""
+    rng = np.random.default_rng(seed)
+    X0, levels = rng.uniform(-3.0, 3.0, (m, g.n)), rng.uniform(0.2, 5.0, m)
+    s = SystemInstance(graph=g, psi=rounded_tanh(quantum), pi=float(levels[0]))
+    if seed_rule:
+        seeds = plain_seeds(SystemInstance(g, hd.tanh_family(), s.pi))
+        X0, levels = np.vstack([seeds, X0]), np.concatenate([np.full(len(seeds), s.pi), levels])
+    return s, X0, levels
+
+
+# inst5 with tanh rounded to 2^-30, 30 random starts: 6 rows stall, 5
+# diverge, and rows stand still at halvings 15, 16, 18, 25 and 28, at the
+# end, at the start and inside a block
+STALLING_CASE = dict(quantum=2.0 ** -30, seed=0, m=30, seed_rule=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=instances(), quantum=st.sampled_from([0.0, 2.0 ** -40, 2.0 ** -30, 2.0 ** -20]),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), seed_rule=st.booleans())
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), **STALLING_CASE)
+# one row, standing still at halving 20
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), quantum=2.0 ** -20, seed=3, m=1,
+         seed_rule=False)
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), quantum=0.0, seed=1, m=4, seed_rule=True)
+def test_block_line_search_equals_sequential_halving(g, quantum, seed, m, seed_rule):
+    # bitwise states, residuals and causes, with rows that stall, converge,
+    # diverge or stand still at any factor of a block
+    s, X0, levels = line_search_case(g, quantum, seed, m, seed_rule)
+    x, res, cause = _newton_rows(s, X0, levels)
+    ref_x, ref_res, ref_cause = sequential_newton_rows(s, X0, levels)
+    assert x.tobytes() == ref_x.tobytes()
+    assert res.tobytes() == ref_res.tobytes()
+    assert cause.tolist() == ref_cause.tolist()
+
+
+def test_stalling_case_stalls_and_stands_still_inside_blocks():
+    # the first explicit example above reaches the cases it is there for
+    log = []
+    s, X0, levels = line_search_case(hd.random_instance(5, 0.8, 0.2, 1.0, 1), **STALLING_CASE)
+    _, _, cause = sequential_newton_rows(s, X0, levels, log)
+    assert "stalled" in cause.tolist()
+    block_starts = np.cumsum([1] + [len(b) for b in equilibria._LINE_BLOCKS])[:-1]
+    assert any(i not in block_starts for i, _ in log)

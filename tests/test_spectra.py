@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from hyperdecide.spectra import (
     symmetric_eigenvalues,
     thresholds,
     thresholds_text,
-    with_pi1_star,
 )
 
 
@@ -149,13 +150,13 @@ def test_thresholds_ordering_enforced():
         hd.Thresholds(pi1=0.8, pi2=3.0, pi_tilde1=0.5)
     t = hd.Thresholds(pi1=2.0, pi2=3.0, pi_tilde1=0.9)
     with pytest.raises(ValueError):
-        with_pi1_star(t, 2.5)
+        replace(t, pi1_star=2.5)
     with pytest.raises(ValueError):
-        with_pi1_star(t, 0.7)
+        replace(t, pi1_star=0.7)
 
 
 def test_thresholds_text_format(inst5, k3):
-    t = with_pi1_star(thresholds(inst5), 1.44)
+    t = replace(thresholds(inst5), pi1_star=1.44)
     text = thresholds_text(t)
     lines = text.strip().splitlines()
     assert lines[0] == "pi1=2"
