@@ -13,18 +13,14 @@ a branch enters or leaves the 'stable' classification as its stability
 change. A branch that simply stops before the end of the grid records
 its termination by its last point.
 
-Every level's result is independent of the others; ``workers > 1``
-splits the grid into at most one contiguous slice per CPU and per level
-and searches each slice in a process pool (the sigmoid family must then be
-picklable, which the module-level tanh family is). Threading is a
-sequential deterministic pass, so worker count never changes the result.
+Every level's result is independent of the others, so how the search
+splits the grid into chunks never changes the result; threading is a
+sequential deterministic pass.
 """
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -115,29 +111,20 @@ def _match_tol(slope: float, dpi: float) -> float:
 
 
 def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
-          pi_grid=None, workers: int = 1) -> SweepResult:
+          pi_grid=None) -> SweepResult:
     """Thread equilibria across an increasing effort grid into branches.
-    ValueError, before any level is searched, when the largest level is
-    too large for a ``SystemInstance``."""
+    ValueError, before any level is searched, when ``pi_grid`` is not a
+    non-empty one-dimensional, finite, positive, strictly increasing grid,
+    or when its largest level is too large for a ``SystemInstance``."""
     psi = psi or tanh_family()
     grid = make_grid(PI_MIN, PI_MAX, PI_STEP) if pi_grid is None else np.asarray(pi_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty grid")
-    if not (np.all(np.diff(grid) > 0.0) and grid[0] > 0.0):
-        raise ValueError("grid must be strictly increasing and positive")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"pi_grid must be a non-empty one-dimensional grid, got shape {grid.shape}")
+    if not (np.all(np.diff(grid) > 0.0) and 0.0 < grid[0] and grid[-1] < np.inf):
+        raise ValueError("pi_grid must be finite, positive and strictly increasing")
     SystemInstance(graph=g, psi=psi, pi=float(grid[-1]))
 
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    workers = min(workers, os.cpu_count() or 1, grid.size)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_pi = [eqs for part in pool.map(partial(_search_grid, g, psi),
-                                               np.array_split(grid, workers))
-                      for eqs in part]
-    else:
-        per_pi = _search_grid(g, psi, grid)
+    per_pi = _search_grid(g, psi, grid)
 
     branches: list[BifurcationBranch] = []
     active: list[int] = []

@@ -226,7 +226,7 @@ def _cmd_sweep(run, parser):
     g = _system(run, parser, float(grid[-1])).graph  # the largest level is refused up front
     if run["svg_coord"] >= g.n:
         parser.error(f"--svg-coord must be below the instance size {g.n}")
-    result = sweep(g, tanh_family(), grid, workers=run["workers"])
+    result = sweep(g, tanh_family(), grid)
     path = os.path.join(run["out_dir"], run["out"])
     write_diagram_csv(result, path)
     line = f"wrote {path} branches={len(result.branches)}"
@@ -277,7 +277,6 @@ _COMMANDS = {
         "pi_min": _Option(_POSITIVE, PI_MIN),
         "pi_max": _Option(_POSITIVE, PI_MAX),
         "pi_step": _Option(_POSITIVE, PI_STEP),
-        "workers": _Option(_number(int, 1), 1),
         "out": _Option(str, "diagram.csv"),
         "svg": _Option(str, help="also write an SVG scatter here"),
         "svg_coord": _Option(_number(int, 0), 0,

@@ -97,8 +97,8 @@ class ScalarReduced:
     pi: float
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and nonnegative, got {self.alpha!r}")
         if not self.pi > 0.0:
             raise ValueError("effort level must be positive")
         if not math.isfinite(2.0 * float(self.pi)):
@@ -216,8 +216,8 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     reported at 1e-8. Always lands in [1, 1 + alpha]. Raises ValueError
     when no tangency state lies in [1e-8, 50].
     """
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
     if alpha == 0.0:
         return 1.0, 0.0
     psi = psi or tanh_family()

@@ -368,8 +368,8 @@ def random_instance(n: int, p2: float, p3: float, alpha: float, seed: int) -> Hy
         raise ValueError("p2 must be in (0, 1]")
     if not (0.0 <= p3 <= 1.0):
         raise ValueError("p3 must be in [0, 1]")
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0.0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
 
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, 1)
@@ -419,8 +419,8 @@ def scale_two_interactions(g: Hypergraph2, factor: float) -> Hypergraph2:
     The magnitude at which quadratic effects stay perturbative is not known
     in advance, so experiments scan this knob instead of guessing.
     """
-    if factor < 0.0:
-        raise ValueError("factor must be nonnegative")
+    if not 0.0 <= factor < np.inf:
+        raise ValueError(f"factor must be finite and nonnegative, got {factor!r}")
     return build(g.a2, g.b * factor)
 
 
@@ -501,6 +501,8 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
             header_alpha = float(alpha_text)
         except ValueError:
             raise FormatError("header alpha must be a float or 'none'", idx)
+        if not np.isfinite(header_alpha):
+            raise FormatError(f"header alpha must be finite, got {alpha_text}", idx)
     idx += 1
 
     def expect_section(tag):
@@ -541,7 +543,7 @@ def _from_parsed(a2, b, header_alpha) -> Hypergraph2:
             raise FormatError(
                 "header says alpha=none but the slices share a common ratio", 1)
     else:
-        if g.alpha is None or abs(g.alpha - header_alpha) > 1e-9 * max(1.0, abs(header_alpha)):
+        if g.alpha is None or not abs(g.alpha - header_alpha) <= 1e-9 * max(1.0, abs(header_alpha)):
             raise FormatError("header alpha disagrees with the stored matrices", 1)
     return g
 

@@ -14,7 +14,8 @@ from hyperdecide.bifurcation import (
     write_diagram_svg,
 )
 from hyperdecide.dynamics import SystemInstance
-from hyperdecide.equilibria import pi1_star
+from hyperdecide import equilibria
+from hyperdecide.equilibria import ScalarReduced, pi1_star
 from hyperdecide.errors import DimensionError, NoBistabilityError
 
 PI_FOLD = 1.4436264328094527
@@ -109,6 +110,24 @@ def test_sweep_grid_validation(inst5, tanh):
         sweep(inst5, tanh, np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         sweep(inst5, tanh, np.array([-0.1, 0.5]))
+    for grid in (1.0, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="pi_grid must be a non-empty one-dimensional"):
+            sweep(inst5, tanh, grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda g, bad: hd.random_instance(5, 0.8, 0.2, bad, 1), "alpha"),
+    (lambda g, bad: pi1_star(bad), "alpha"),
+    (lambda g, bad: ScalarReduced(alpha=bad, pi=1.7), "alpha"),
+    (lambda g, bad: hd.scale_two_interactions(g, bad), "factor"),
+    (lambda g, bad: sweep(g, None, [bad]), "pi_grid"),
+    (lambda g, bad: sweep(g, None, [0.5, bad]), "pi_grid"),
+], ids=["random_instance", "pi1_star", "ScalarReduced", "scale_two_interactions",
+        "sweep-level", "sweep-last-level"])
+def test_non_finite_parameters_are_refused(call, name, bad, inst5):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(inst5, bad)
 
 
 def test_sweep_pitchfork_symmetry(c5, tanh):
@@ -124,48 +143,13 @@ def test_sweep_pitchfork_symmetry(c5, tanh):
     assert res.bistability is None  # ratio 0 carries no fold window
 
 
-def test_sweep_workers_match_serial(inst5, tanh):
-    grid = make_grid(1.5, 1.9, 0.1)
-    serial = sweep(inst5, tanh, grid, workers=1)
-    parallel = sweep(inst5, tanh, grid, workers=2)
-    assert diagram_csv(serial) == diagram_csv(parallel)
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs jobs here."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-
-def test_sweep_workers_clamped(inst5, tanh, monkeypatch):
-    import concurrent.futures
-    import os
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    grid = make_grid(1.5, 1.7, 0.1)  # 3 levels
-    serial = diagram_csv(sweep(inst5, tanh, grid))
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert diagram_csv(sweep(inst5, tanh, grid, workers=10**6)) == serial
-    # grid size, then CPU count; one CPU (or an unknown count) starts no pool
-    assert _InlinePool.sizes == [3, 2]
-    with pytest.raises(ValueError):
-        sweep(inst5, tanh, grid, workers=0)
+def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
+    # ~300 levels: several chunks under the default budget, one level per
+    # chunk under a budget below n^2
+    grid = make_grid(0.005, 1.5, 0.005)
+    chunked = diagram_csv(sweep(inst5, tanh, grid))
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
+    assert diagram_csv(sweep(inst5, tanh, grid)) == chunked
 
 
 def test_bistability_interval_values(inst5, tanh):

@@ -1,10 +1,11 @@
 import os
+import re
 
 import numpy as np
 import pytest
 
 import hyperdecide as hd
-from hyperdecide.cli import main
+from hyperdecide.cli import _COMMANDS, build_parser, main
 
 
 def run(args):
@@ -76,6 +77,16 @@ def test_validate_parse_error_has_line_number(tmp_path, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "line 3" in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_validate_refuses_a_non_finite_header_alpha(tmp_path, inst5, alpha, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(hd.to_text(inst5).replace("alpha=1", f"alpha={alpha}", 1))
+    out = tmp_path / "out"
+    assert run(["validate", str(bad), "--out-dir", str(out)]) == 1
+    assert "line 1" in capsys.readouterr().err
+    assert not (out / "validate.manifest").exists()
 
 
 def test_validate_missing_file(tmp_path):
@@ -185,12 +196,20 @@ def test_usage_error_inside_a_handler_leaves_no_manifest(inst_file, tmp_path):
     assert not (tmp_path / "simulate.manifest").exists()
 
 
-def test_sweep_workers_below_one_is_a_usage_error(inst_file, tmp_path):
+@pytest.mark.parametrize("given_as", ["flag", "config"])
+def test_sweep_workers_is_an_unknown_option(given_as, inst_file, tmp_path, capsys):
+    if given_as == "flag":
+        flags = ["--workers", "2"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers=2\n")
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        run(["sweep", inst_file, "--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1",
-             "--workers", "0", "--out-dir", str(tmp_path)])
+        run(["sweep", inst_file, *SMALL_GRID, *flags, "--out-dir", str(out)])
     assert err.value.code == 2
-    assert not (tmp_path / "sweep.manifest").exists()
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()  # no output and no manifest
 
 
 def test_equilibria_command(inst_file, tmp_path, capsys):
@@ -265,7 +284,7 @@ SMALL_GRID = ["--pi-min", "1", "--pi-max", "1.1", "--pi-step", "0.1"]
     ("simulate", [], "pi", "0"),
     ("equilibria", [], "pi", "0"),
     ("generate", [], "seed", "-1"),
-    ("sweep", SMALL_GRID, "workers", "0"),
+    ("sweep", [], "pi_min", "0"),
     ("sweep", SMALL_GRID + ["--svg", "d.svg"], "svg_coord", "-1"),
     ("sweep", SMALL_GRID + ["--svg", "d.svg"], "svg_coord", "5"),  # inst5 has 5 agents
     ("generate", [], "n", "3000"),  # a 201 GiB triple tensor
@@ -355,3 +374,17 @@ def test_output_dir_from_environment(inst_file, tmp_path, monkeypatch):
     assert rc == 0
     assert (target / "equilibria.csv").exists()
     assert (target / "equilibria.manifest").exists()
+
+
+def test_readme_command_line_flags_exist():
+    # every flag the README's "## Command line" section names is a flag of
+    # some subcommand, so option docs cannot outlive the option
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    flags = set()
+    for name, command in _COMMANDS.items():
+        sub = parser.parse_args([name] + (["file"] if command.file else [])).command_parser
+        flags.update(sub._option_string_actions)
+    documented = set(re.findall(r"--[a-z0-9-]+", section))
+    assert documented and documented <= flags, documented - flags

@@ -469,6 +469,11 @@ def test_header_alpha_mismatch(inst5):
         hd.from_text(text)
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_header_alpha_must_be_finite(inst5, alpha):
+    _expect_format_error(hd.to_text(inst5).replace("alpha=1", f"alpha={alpha}", 1), 1)
+
+
 def test_parse_arrays_skips_validation(inst5):
     # structurally fine but semantically broken content parses
     text = hd.to_text(inst5)
