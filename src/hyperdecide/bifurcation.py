@@ -32,7 +32,6 @@ from .nonlinearity import SigmoidFamily, tanh_family
 # by these names
 from .dynamics import SystemInstance, _rk4_rows, integrate
 from .equilibria import (
-    Equilibrium,
     ScalarReduced,
     _newton_raw,
     _same_equilibrium,

@@ -4,8 +4,8 @@ Subcommands: generate, validate, thresholds, simulate, equilibria, sweep,
 normal-form. Each option is declared once, in ``_COMMANDS``; its flag, config
 key, default and valid range all come from there. A run that succeeds ends
 by writing a manifest (sorted key=value lines of the fully resolved
-configuration) into the output directory, and all CSV output is
-deterministic for a fixed manifest, byte for byte.
+configuration) into the output directory; all CSV output is byte-identical
+for a fixed manifest and BLAS thread count (threads move a solve's last bits).
 
 Configuration precedence: explicit flags, then --config file entries,
 then built-in defaults. The output directory comes from --out-dir, the
@@ -172,7 +172,7 @@ def _cmd_validate(run, parser):
             print(f"FAIL {check.name}: {check.detail}")
     if failed:
         return 1
-    _from_parsed(a2, b, header_alpha)  # the header's ratio against the matrices
+    _from_parsed(text, a2, b, header_alpha)  # the header's ratio against the matrices
     print("all assumptions hold")
     return 0
 

@@ -489,31 +489,28 @@ def find_all(s: SystemInstance) -> list[Equilibrium]:
 
 def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> tuple[float, float]:
     """Cubic and quadratic coefficients of the reduced dynamics at the
-    origin crossing.
+    origin crossing, in closed form.
 
-    The quadratic one has the closed form pi1 * sum_i w_i / deg_i *
-    (v' B_i v) over the positive eigenpair (v, w). The cubic one is the
-    third derivative (over 6) of the reduced scalar map
-    y -> w @ D^{-1} (pi1 * nonlinearity)(y v), estimated with a 4th-order
-    centered stencil. Expected signs: cubic < 0, quadratic > 0 whenever the
-    2-interactions are nonzero.
+    Both are Taylor coefficients at y = 0 of the reduced scalar map
+    y -> pi1 * w @ D^{-1} (A2 psi(y v) + T(psi(y v))), (v, w) the positive
+    eigenpair, pi1 = 1 / lambda and T the triple contraction:
+
+        quadratic = pi1 * sum_i w_i / deg_i * (v' B_i v)
+        cubic     = (psi'''(0) / 6) * pi1 * sum_i w_i / deg_i * (A2 v^3)_i
+
+    T adds no cubic term: psi is odd, so psi(y v) = y v + O(y^3) and
+    T(psi(y v)) = y^2 T(v) + O(y^4). psi'''(0) is one central difference of
+    ``psi.deriv2`` at 0, step 2^-26 (-2 within 1e-15 for tanh). Expected
+    signs: cubic < 0, quadratic > 0 whenever the 2-interactions are nonzero.
     """
     psi = psi or tanh_family()
     lam, v, w = perron_pair(g)
     level = 1.0 / lam
-    quad = float(level * np.sum((w / g.degrees) * _triple_term(g, v)))
-
     wd = w / g.degrees
-
-    def reduced(y: float) -> float:
-        p = psi.eval(y * v)
-        return float(level * wd @ (g.a2 @ p + _triple_term(g, p)))
-
-    h = 0.05
-    coeff = np.array([1.0 / 8.0, -1.0, 13.0 / 8.0, -13.0 / 8.0, 1.0, -1.0 / 8.0])
-    offsets = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0])
-    third = float(sum(c * reduced(o * h) for c, o in zip(coeff, offsets)) / h ** 3)
-    return third / 6.0, quad
+    quad = float(level * np.sum(wd * _triple_term(g, v)))
+    h = 2.0 ** -26
+    third = float(psi.deriv2(np.array(h)) - psi.deriv2(np.array(-h))) / (2.0 * h)
+    return third / 6.0 * level * float(wd @ (g.a2 @ v ** 3)), quad
 
 
 def equilibria_csv(eqs: Sequence[Equilibrium]) -> str:

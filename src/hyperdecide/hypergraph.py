@@ -478,9 +478,7 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
     arrays afterwards.
     """
     lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    idx = 1
-    while idx <= len(lines) and not lines[idx - 1].strip():
-        idx += 1
+    idx = _header_line(lines)
     if idx > len(lines):
         raise FormatError("empty input", 1)
 
@@ -530,21 +528,26 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
     return a2, b, header_alpha
 
 
+def _header_line(lines) -> int:
+    """Number of the first non-blank line, len(lines) + 1 when there is none."""
+    return next((i for i, ln in enumerate(lines, 1) if ln.strip()), len(lines) + 1)
+
+
 def from_text(text: str) -> Hypergraph2:
     """Parse the sectioned text format and rebuild (revalidating everything)."""
-    return _from_parsed(*parse_arrays(text))
+    return _from_parsed(text, *parse_arrays(text))
 
 
-def _from_parsed(a2, b, header_alpha) -> Hypergraph2:
-    """build() parsed arrays and check the ratio against the header's."""
+def _from_parsed(text, a2, b, header_alpha) -> Hypergraph2:
+    """build() arrays parsed from ``text`` and check the ratio against the header's."""
     g = build(a2, b)
     if header_alpha is None:
         if g.alpha is not None:
-            raise FormatError(
-                "header says alpha=none but the slices share a common ratio", 1)
-    else:
-        if g.alpha is None or not abs(g.alpha - header_alpha) <= 1e-9 * max(1.0, abs(header_alpha)):
-            raise FormatError("header alpha disagrees with the stored matrices", 1)
+            raise FormatError("header says alpha=none but the slices share a common ratio",
+                              _header_line(text.splitlines()))
+    elif g.alpha is None or not abs(g.alpha - header_alpha) <= 1e-9 * max(1.0, abs(header_alpha)):
+        raise FormatError("header alpha disagrees with the stored matrices",
+                          _header_line(text.splitlines()))
     return g
 
 

@@ -89,6 +89,20 @@ def test_validate_refuses_a_non_finite_header_alpha(tmp_path, inst5, alpha, caps
     assert not (out / "validate.manifest").exists()
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("0.5", "header alpha disagrees with the stored matrices"),
+    ("none", "header says alpha=none but the slices share a common ratio"),
+], ids=["ratio", "none"])
+def test_validate_names_the_header_line_of_a_ratio_mismatch(tmp_path, inst5, alpha, message,
+                                                            capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n\n" + hd.to_text(inst5).replace("alpha=1", f"alpha={alpha}", 1))
+    out = tmp_path / "out"
+    assert run(["validate", str(bad), "--out-dir", str(out)]) == 1
+    assert f"line 3: {message}" in capsys.readouterr().err
+    assert not (out / "validate.manifest").exists()
+
+
 def test_validate_missing_file(tmp_path):
     rc = run(["validate", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)])
     assert rc == 1

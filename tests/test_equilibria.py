@@ -55,7 +55,7 @@ FOLDS = {
 NEG_BRANCH = {2.05: 0.0242044548503, 2.5: 0.1924865962643691,
               3.0: 0.321172596523, 5.0: 0.618695162311}
 
-K1_INST5 = -0.030763699882543894
+K1_INST5 = -0.03076371285893627
 K2_INST5 = 0.303794566404353
 
 
@@ -521,24 +521,74 @@ def test_normal_form_frozen_values(inst5):
     assert k2 == pytest.approx(K2_INST5, abs=1e-12)
 
 
+def reduced_map(g, psi):
+    """y -> pi1 * w @ D^{-1} (A2 psi(y v) + T(psi(y v))) in full, triple
+    term included, on the dense tensor."""
+    lam, v, w = perron_pair(g)
+    wd = w / g.degrees
+
+    def reduced(y):
+        p = psi.eval(y * v)
+        return wd @ (g.a2 @ p + (g.b @ p) @ p) / lam
+
+    return reduced
+
+
+def stencil_cubic(g, psi):
+    """Second route to the cubic coefficient: a six-point 4th-order stencil
+    (h = 0.05) for the third derivative of the reduced map, over 6."""
+    reduced = reduced_map(g, psi)
+    h = 0.05
+    coeff = (1.0 / 8.0, -1.0, 13.0 / 8.0, -13.0 / 8.0, 1.0, -1.0 / 8.0)
+    offsets = (-3.0, -2.0, -1.0, 1.0, 2.0, 3.0)
+    return sum(c * reduced(o * h) for c, o in zip(coeff, offsets)) / h ** 3 / 6.0
+
+
 def test_normal_form_analytic_cross_checks(inst5, tanh):
     k1, k2 = normal_form_coeffs(inst5)
     lam, v, w = perron_pair(inst5)
     level = 1.0 / lam
     # cubic coefficient: only the pairwise term contributes odd structure
     k1_analytic = -(level / 3.0) * (w / inst5.degrees) @ (inst5.a2 @ v ** 3)
-    assert k1 == pytest.approx(k1_analytic, abs=1e-6)
+    assert k1 == pytest.approx(k1_analytic, rel=1e-12)
+    assert k1 == pytest.approx(stencil_cubic(inst5, tanh), abs=1e-6)
     # quadratic coefficient against a second-derivative stencil
-    wd = w / inst5.degrees
-
-    def reduced(y):
-        p = tanh.eval(y * v)
-        return level * wd @ (inst5.a2 @ p + (inst5.b @ p) @ p)
-
+    reduced = reduced_map(inst5, tanh)
     h = 0.05
     d2 = (-reduced(2 * h) + 16 * reduced(h) - 30 * reduced(0.0)
           + 16 * reduced(-h) - reduced(2 * -h)) / (12 * h * h)
     assert k2 == pytest.approx(d2 / 2.0, abs=1e-6)
+
+
+def test_normal_form_cubic_follows_the_family(inst5, mixed_ratio):
+    # psi(x) = x / sqrt(1 + x^2) has psi'''(0) = -3, where tanh has -2
+    algebraic = hd.make_family(lambda x: x / np.sqrt(1.0 + x * x),
+                               lambda x: (1.0 + x * x) ** -1.5,
+                               lambda x: -3.0 * x * (1.0 + x * x) ** -2.5,
+                               "algebraic")
+    for g in (mixed_ratio, inst5):
+        k1, _ = normal_form_coeffs(g, algebraic)
+        lam, v, w = perron_pair(g)
+        assert k1 == pytest.approx(-(0.5 / lam) * (w / g.degrees) @ (g.a2 @ v ** 3), rel=1e-12)
+        assert k1 == pytest.approx(stencil_cubic(g, algebraic), abs=1e-6)
+
+
+def test_normal_form_predicts_the_bistable_window():
+    # ydot = mu y + k2 y^2 + k1 y^3 folds at mu = -k2^2 / (4 |k1|), so the
+    # window below pi1 is pi1 k2^2 / (4 |k1|) up to O(alpha^2) relative;
+    # the exact side is pi1_star's tangency bisection and the pi1 eigensolve
+    rng = np.random.default_rng(2024)
+    for t in range(30):
+        n = int(rng.integers(3, 9))
+        alpha0 = float(rng.uniform(0.2, 2.0))
+        base = hd.random_instance(n, 0.8, 0.5, alpha0, 700 + t)
+        for f in (0.1, 0.03, 0.01):
+            g = hd.scale_two_interactions(base, f)
+            pi1 = thresholds(g).pi1
+            k1, k2 = normal_form_coeffs(g)
+            ratio = (pi1 - pi1_star(g.alpha)[0]) / (pi1 * k2 ** 2 / (4.0 * abs(k1)))
+            alpha = f * alpha0
+            assert abs(ratio - 1.0) <= 4.0 * alpha ** 2, (t, n, alpha0, f, ratio)
 
 
 def test_normal_form_zero_tensor(c5):

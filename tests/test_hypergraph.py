@@ -461,12 +461,14 @@ def test_pair_rows_without_triples_gives_floats():
 
 
 def test_header_alpha_mismatch(inst5):
-    text = hd.to_text(inst5).replace("alpha=1", "alpha=0.5", 1)
-    with pytest.raises(FormatError):
-        hd.from_text(text)
-    text = hd.to_text(inst5).replace("alpha=1", "alpha=none", 1)
-    with pytest.raises(FormatError):
-        hd.from_text(text)
+    # the error names the header's own line, after any leading blank lines
+    for alpha, message in (("0.5", "header alpha disagrees with the stored matrices"),
+                           ("none", "header says alpha=none but the slices share a common ratio")):
+        for lead, line in (("", 1), ("\n\n", 3)):
+            text = lead + hd.to_text(inst5).replace("alpha=1", f"alpha={alpha}", 1)
+            with pytest.raises(FormatError) as err:
+                hd.from_text(text)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
