@@ -225,9 +225,10 @@ def _arrays(a2, b):
 
 
 def _first(mask: np.ndarray):
-    """Index tuple of the first True entry of ``mask`` in C order, or None."""
-    hit = np.argwhere(mask)
-    return tuple(map(int, hit[0])) if hit.size else None
+    """Index tuple of the first True entry of a nonempty ``mask`` in C order,
+    or None. argmax stops at the first True and lists no indices."""
+    at = int(mask.argmax())
+    return tuple(map(int, np.unravel_index(at, mask.shape))) if mask.flat[at] else None
 
 
 def _non_finite(a2, b, deg):
@@ -239,14 +240,18 @@ def _non_finite(a2, b, deg):
 
 
 def _own_participant(a2, b, deg):
-    """First nonzero weight agent i puts on a pair holding i or a repeated agent."""
-    n = b.shape[0]
-    own = np.zeros((n, n, n), dtype=bool)
-    idx = np.arange(n)
-    own[idx, idx, :] = True
-    own[idx, :, idx] = True
-    own |= np.eye(n, dtype=bool)[None, :, :]  # repeated participant
-    return _first((b != 0.0) & own)
+    """First nonzero weight agent i puts on a pair holding i or a repeated
+    agent: b[i, i, k], b[i, j, i] or b[i, j, j]. Each set is an (n, n) slice
+    in b's C order, so the least of the slices' first hits is b's first."""
+    idx = np.arange(b.shape[0])
+    hits = []
+    for entries, at in ((b[idx, idx, :], lambda i, k: (i, i, k)),
+                        (b[idx, :, idx], lambda i, j: (i, j, i)),
+                        (b[:, idx, idx], lambda i, j: (i, j, j))):
+        hit = _first(entries != 0.0)
+        if hit is not None:
+            hits.append(at(*hit))
+    return min(hits, default=None)
 
 
 # One row per structural requirement, in report order: its name, the error it
@@ -445,15 +450,28 @@ def to_text(g: Hypergraph2) -> str:
 
 
 def _parse_matrix(lines, start, n, label):
-    """The n rows of ``label`` from line ``start`` on, as one array
-    conversion; the row loop below finds the failing row's line and message
-    when it fails."""
-    rows = [ln.split() for ln in lines[start - 1:start - 1 + n]]
-    if len(rows) == n and all(len(parts) == n for parts in rows):
+    """The n rows of ``label`` from line ``start`` on, read by one loadtxt
+    call, or by _parse_rows when that fails or gives another shape. loadtxt
+    splits and converts as str.split() and float() do, bit for bit, but
+    refuses some spellings float() takes (1_0); with comments=None it
+    refuses '#' as float() does."""
+    block = lines[start - 1:start - 1 + n]
+    # loadtxt skips blank lines and warns on a block of nothing else; a blank
+    # first row fails in _parse_rows anyway
+    if len(block) == n and block[0].strip():
         try:
-            return np.array(rows, dtype=float), start + n
+            rows = np.loadtxt(block, dtype=float, comments=None, ndmin=2)
         except ValueError:
             pass
+        else:
+            if rows.shape == (n, n):
+                return rows, start + n
+    return _parse_rows(lines, start, n, label), start + n
+
+
+def _parse_rows(lines, start, n, label):
+    """The rows of ``label`` one by one with float(), raising FormatError at
+    the first row that is missing, of another width or not numeric."""
     rows = []
     for r in range(n):
         lineno = start + r
@@ -467,7 +485,7 @@ def _parse_matrix(lines, start, n, label):
             rows.append([float(p) for p in parts])
         except ValueError:
             raise FormatError(f"{label} row {r + 1} has a non-numeric entry", lineno)
-    return np.array(rows), start + n
+    return np.array(rows)
 
 
 def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
@@ -477,7 +495,7 @@ def parse_arrays(text: str) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
     on structural problems only; use build() or validation_report() on the
     arrays afterwards.
     """
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
+    lines = text.splitlines()
     idx = _header_line(lines)
     if idx > len(lines):
         raise FormatError("empty input", 1)

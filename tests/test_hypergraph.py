@@ -1,10 +1,11 @@
 import itertools
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperdecide as hd
 from hyperdecide.errors import (
@@ -207,6 +208,53 @@ def test_each_structural_check_names_its_first_offender(arrays, name, error, mes
     failed = {r.name: r.detail for r in hd.validation_report(*arrays) if not r.passed}
     assert failed[name] == detail
     assert set(failed) == ({name, "2-interaction nonnegativity"} if degree_only else {name})
+
+
+def test_first_is_the_first_argwhere_row():
+    rng = np.random.default_rng(17)
+    b = rng.uniform(size=(6, 6, 6))
+    b[2, 3, 4] = 5.0  # (3, 4) and (4, 3) of agent 2 differ
+    masks = [np.zeros((4, 5, 3), dtype=bool), np.zeros(7, dtype=bool),
+             np.eye(5, dtype=bool)[::-1], b != np.transpose(b, (0, 2, 1)),
+             np.transpose(b > 0.9, (0, 2, 1))]
+    last = np.zeros((3, 2, 4), dtype=bool)
+    last[-1, -1, -1] = True
+    masks.append(last)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 7, size=rng.integers(1, 4)))
+        masks.append(rng.random(shape) < rng.choice([0.0, 0.005, 0.05, 0.5, 1.0]))
+    for mask in masks:
+        hit = np.argwhere(mask)
+        assert hypergraph._first(mask) == (tuple(map(int, hit[0])) if hit.size else None)
+
+
+def _own_by_mask(b):
+    """The first nonzero b[i, j, k] with i in {j, k} or j == k, from the n^3 mask."""
+    n = b.shape[0]
+    idx = np.arange(n)
+    own = np.zeros((n, n, n), dtype=bool)
+    own[idx, idx, :] = True
+    own[idx, :, idx] = True
+    own |= np.eye(n, dtype=bool)[None, :, :]
+    hit = np.argwhere((b != 0.0) & own)
+    return tuple(map(int, hit[0])) if hit.size else None
+
+
+def test_own_participant_matches_the_cubic_mask(inst5):
+    cases = [arrays[1] for arrays, *_ in _STRUCTURAL_DEFECTS] + [inst5.b]
+    rng = np.random.default_rng(23)
+    for _ in range(400):
+        n = int(rng.integers(2, 8))
+        b = np.zeros((n, n, n))
+        for _ in range(rng.integers(0, 5)):
+            i, j, k = rng.integers(0, n, size=3)
+            # three plants in four on an own or a repeated participant
+            at = [(i, i, k), (i, j, i), (i, j, j), (i, j, k)][rng.integers(0, 4)]
+            b[at] = rng.choice([1.0, -0.5, np.nan, np.inf])
+        cases.append(b)
+    assert sum(_own_by_mask(b) is not None for b in cases) > 250
+    for b in cases:
+        assert hypergraph._own_participant(None, b, None) == _own_by_mask(b)
 
 
 def test_is_connected_matches_reachability_bruteforce():
@@ -429,6 +477,77 @@ def test_parse_reads_every_float_spelling(inst5):
                                                10: " ".join(words[1:])}))
     assert b[0, :2].tobytes() == np.array([[float(w) for w in words[:5]],
                                            [float(w) for w in words[1:]]]).tobytes()
+
+
+# Row tokens: what float() reads (17-digit doubles and its other spellings)
+# and what it refuses.
+_TOKENS = st.one_of(
+    st.floats().map(lambda x: format(x, ".17g")),
+    st.sampled_from(["nan", "-Infinity", "1_0", "\u0661", "+1e-320", "0#", "#", "1,5", "0x10"]))
+
+
+def _float_reference(lines, n):
+    """Every block row of a to_text layout read token by token with float():
+    (a2, b), or (line, label, row) of the first row it refuses."""
+    values = []
+    for m, r in itertools.product(range(n + 1), range(n)):
+        line = 3 + m * (n + 1) + r
+        parts = lines[line - 1].split()
+        try:
+            if len(parts) != n:
+                raise ValueError
+            values.append([float(p) for p in parts])
+        except ValueError:
+            return line, "[A2]" if m == 0 else f"[B{m}]", r + 1
+    stack = np.array(values).reshape(n + 1, n, n)
+    return stack[0], stack[1:]
+
+
+@st.composite
+def _edited_rows(draw):
+    """(n, seed, edits): each edit puts one row of tokens, n - 1 to n + 1 of
+    them or none (an empty line), at one block row of the instance's text."""
+    n = draw(st.integers(2, 6))
+    widths = st.sampled_from([n, n, n - 1, n + 1, 0])
+    rows = widths.flatmap(lambda w: st.lists(_TOKENS, min_size=w, max_size=w))
+    return n, draw(st.integers(0, 2**32 - 1)), draw(
+        st.lists(st.tuples(st.integers(0, 10**6), rows), max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_edited_rows())
+@example(case=(2, 0, [(0, []), (1, [])]))  # all-blank [A2]
+def test_block_reading_equals_float_row_by_row(case):
+    n, seed, edits = case
+    g = hd.random_instance(n, 1.0, 0.7, 0.0 if n == 2 else 1.0, seed)
+    lines = hd.to_text(g).splitlines()
+    rows = [line for line in range(3, len(lines) + 1) if not lines[line - 1].startswith("[")]
+    for at, tokens in edits:
+        lines[rows[at % len(rows)] - 1] = " ".join(tokens)
+    expected = _float_reference(lines, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected[0], int):
+            line, label, row = expected
+            with pytest.raises(FormatError) as err:
+                parse_arrays("\n".join(lines) + "\n")
+            assert err.value.line == line
+            assert str(err.value).startswith(f"line {line}: {label} row {row} ")
+        else:
+            a2, b, _ = parse_arrays("\n".join(lines) + "\n")
+            assert a2.tobytes() == expected[0].tobytes()
+            assert b.tobytes() == expected[1].tobytes()
+
+
+def test_clean_text_never_takes_the_row_loop(inst5):
+    # every block of a to_text text is read by the one loadtxt call
+    slow = mock.patch.object(hypergraph, "_parse_rows", side_effect=AssertionError("row loop"))
+    for g in (inst5, hd.random_instance(40, 0.2, 0.1, 1.0, 3)):
+        with slow:
+            back = hd.from_text(hd.to_text(g))
+        assert back.a2.tobytes() == g.a2.tobytes()
+        assert back.b.tobytes() == g.b.tobytes()
+        assert back.alpha == g.alpha
 
 
 def test_contractions_equal_their_one_call_formulas(inst5):
