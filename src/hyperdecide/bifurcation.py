@@ -257,18 +257,11 @@ class BasinReport:
 
     @property
     def monotone(self) -> bool:
-        """True when, sorted by radius, labels are origin* then upper*."""
-        order = np.argsort(np.asarray(self.radii))
-        labs = [self.labels[i] for i in order]
-        if any(l == "other" for l in labs):
-            return False
-        seen_upper = False
-        for l in labs:
-            if l == "upper":
-                seen_upper = True
-            elif seen_upper:
-                return False
-        return True
+        """True when, sorted by radius, labels are origin* then upper*: no
+        "other" label, and no "origin" after an "upper"."""
+        labs = [self.labels[i] for i in np.argsort(self.radii)]
+        first_upper = labs.index("upper") if "upper" in labs else len(labs)
+        return "other" not in labs and "origin" not in labs[first_upper:]
 
 
 def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:

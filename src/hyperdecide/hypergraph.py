@@ -9,12 +9,12 @@ same multiple ``alpha`` of its pairwise budget, that multiple is detected
 and stored; several analysis routines are only available in that regime.
 
 This is the only module that reads the triples. ``build`` validates the
-dense ``b`` and derives from it, once, the incidence list ``triples``: the
-nonzero weights ``w = b[i, j, k]`` with j < k, sorted by (i, j, k). Every
-contraction (the field's triple term, ``b @ p`` for the Jacobian and the
-normal form, the received mass of ``h_matrix``) sums over that list, so
-its cost grows with the number of triples rather than with n^3. The dense
-``b`` stays for validation, the text format and ``scale_two_interactions``.
+caller's dense ``b`` and keeps only the instance's one store of them, the
+incidence list ``triples``: the nonzero ``w = b[i, j, k]`` with j < k, sorted
+by (i, j, k). Every contraction (the field's triple term, ``b @ p`` for the
+Jacobian and the normal form, the received mass of ``h_matrix``) sums over
+it, so its cost grows with the number of triples rather than with n^3.
+``Hypergraph2.b`` rebuilds the dense tensor on each access (text format, rescaling).
 
 Text serialization is line oriented::
 
@@ -71,8 +71,7 @@ __all__ = [
 # relative tolerance for detecting a shared 2-interaction ratio
 _ALPHA_RTOL = 1e-10
 # Largest dense (n, n, n) triple tensor random_instance draws: 1 GiB, 512
-# agents. The text format holds it and build copies it and makes n^3
-# validation masks beside it.
+# agents. The text format holds it, and build makes n^3 validation masks beside it.
 MAX_TENSOR_BYTES = 1 << 30
 MAX_AGENTS = round((MAX_TENSOR_BYTES / 8) ** (1 / 3))
 # Scatter entries (rows times 2 T, T the triple count) of one bincount in
@@ -127,18 +126,26 @@ def _triple_list(b: np.ndarray) -> Triples:
 
 @dataclass(frozen=True)
 class Hypergraph2:
-    """Validated instance. Arrays are read-only; build() is the constructor
-    and derives ``triples`` from ``b``."""
+    """Validated instance. Arrays are read-only; build() is the constructor.
+    ``triples`` is the only store of the 2-interactions."""
 
     a2: np.ndarray
-    b: np.ndarray
+    triples: Triples = field(repr=False, compare=False)
     degrees: np.ndarray
     alpha: Optional[float]
-    triples: Triples = field(init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.a2.shape[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The dense (n, n, n) tensor, rebuilt read-only from ``triples`` on each access."""
+        t, n = self.triples, self.n
+        b = np.zeros((n, n, n))
+        b[t.i, t.j, t.k] = b[t.i, t.k, t.j] = t.w
+        b.setflags(write=False)
+        return b
 
 
 # The sums below run in a fixed order over each row's own entries (a segment
@@ -328,7 +335,10 @@ def _detect_alpha(pair_mass: np.ndarray, tri_mass: np.ndarray) -> Optional[float
     ratios = tri_mass / pair_mass
     spread = float(ratios.max() - ratios.min())
     if spread <= _ALPHA_RTOL * max(1.0, float(np.abs(ratios).max())):
-        return float(ratios.mean())
+        with np.errstate(over="ignore"):
+            mean = float(ratios.mean())
+        # the sum overflows near the float maximum; offsets from one ratio cannot
+        return mean if np.isfinite(mean) else float(ratios[0] + (ratios - ratios[0]).mean())
     return None
 
 
@@ -340,15 +350,12 @@ def build(a2, b) -> Hypergraph2:
     enforced; each slice stands on its own.
     """
     a2, b, pair_mass, tri_mass = _arrays(a2, b)
-    a2, b = a2.copy(), b.copy()
+    a2 = a2.copy()
     deg = pair_mass + tri_mass
     _raise_first(a2, b, deg)
-    alpha = _detect_alpha(pair_mass, tri_mass)
-    for arr in (a2, b, deg):
+    for arr in (a2, deg):
         arr.setflags(write=False)
-    g = Hypergraph2(a2=a2, b=b, degrees=deg, alpha=alpha)
-    object.__setattr__(g, "triples", _triple_list(b))
-    return g
+    return Hypergraph2(a2, _triple_list(b), deg, _detect_alpha(pair_mass, tri_mass))
 
 
 def random_instance(n: int, p2: float, p3: float, alpha: float, seed: int) -> Hypergraph2:
@@ -442,9 +449,9 @@ def to_text(g: Hypergraph2) -> str:
     lines.append("[A2]")
     for row in g.a2:
         lines.append(" ".join(_fmt(v) for v in row))
-    for i in range(g.n):
-        lines.append(f"[B{i + 1}]")
-        for row in g.b[i]:
+    for i, block in enumerate(g.b, 1):
+        lines.append(f"[B{i}]")
+        for row in block:
             lines.append(" ".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 

@@ -95,14 +95,14 @@ def general_eigenvalues(m) -> Spectrum:
 
 def _normalized_eigh(g: Hypergraph2):
     """Ascending eigenpairs of D^{-1/2} A D^{-1/2}, whose leading eigenvalue
-    must be simple (gap at least 1e-9)."""
+    must be simple (gap at least 1e-9 of it; alpha scales the spectrum by 1/(1+alpha))."""
     root = np.sqrt(g.degrees)
     try:
         vals, vecs = np.linalg.eigh(g.a2 / np.outer(root, root))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolve failed: {exc}") from exc
     gap = float(vals[-1] - vals[-2])
-    if gap < _GAP_TOL:
+    if gap < _GAP_TOL * vals[-1]:
         raise MultiplicityError(f"leading eigenvalue is not simple: gap {gap:.3e}")
     return vals, vecs
 
@@ -111,8 +111,8 @@ def perron_pair(g: Hypergraph2):
     """Leading eigenvalue of the degree-normalized pairwise matrix with its
     positive right and left eigenvectors, normalized to w @ v = 1.
 
-    Raises MultiplicityError when the top of the spectrum is closer than
-    1e-9, and ConvergenceError when the eigenpair residual is out of bounds.
+    Raises MultiplicityError when the top gap is below 1e-9 times the leading
+    eigenvalue, and ConvergenceError when the eigenpair residual is out of bounds.
     """
     vals, vecs = _normalized_eigh(g)
     lam = float(vals[-1])

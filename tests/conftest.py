@@ -37,9 +37,8 @@ def c5():
 
 
 @pytest.fixture(scope="session")
-def mixed_ratio():
-    """Valid instance whose per-node triple/pair mass ratios differ, so no
-    shared ratio is detected."""
+def mixed_ratio_arrays():
+    """(a2, b) of ``mixed_ratio``; do not modify."""
     n = 4
     a2 = np.ones((n, n)) - np.eye(n)
     b = np.zeros((n, n, n))
@@ -47,6 +46,13 @@ def mixed_ratio():
     b[1, 0, 2] = b[1, 2, 0] = 1.0
     b[2, 0, 1] = b[2, 1, 0] = 0.5
     b[3, 0, 1] = b[3, 1, 0] = 0.5
-    g = hd.build(a2, b)
+    return a2, b
+
+
+@pytest.fixture(scope="session")
+def mixed_ratio(mixed_ratio_arrays):
+    """Valid instance whose per-node triple/pair mass ratios differ, so no
+    shared ratio is detected."""
+    g = hd.build(*mixed_ratio_arrays)
     assert g.alpha is None
     return g

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import hyperdecide as hd
 from hyperdecide.bifurcation import (
+    BasinReport,
     basin_probe,
     bistability_interval,
     diagram_csv,
@@ -199,6 +201,31 @@ def test_basin_probe_single_switch(inst5, tanh):
     assert report.monotone
     switched = [lab == "upper" for lab in report.labels]
     assert switched == [r > 0.1935 for r in radii]
+
+
+def _monotone_by_loop(radii, labels):
+    """The labels in radius order: origin* then upper*, walked one by one."""
+    labs = [labels[i] for i in np.argsort(np.asarray(radii))]
+    if any(lab == "other" for lab in labs):
+        return False
+    seen_upper = False
+    for lab in labs:
+        if lab == "upper":
+            seen_upper = True
+        elif seen_upper:
+            return False
+    return True
+
+
+def test_basin_monotone_equals_the_label_walk():
+    radii_sets = ([1.0] * 6,                         # all tied
+                  [0.5, 0.5, 0.2, 0.2, 0.9, 0.9],    # tied pairs out of order
+                  [0.6, 0.1, 0.5, 0.2, 0.4, 0.3])    # distinct, out of order
+    for size in range(7):
+        for labels in itertools.product(("origin", "upper", "other"), repeat=size):
+            for radii in radii_sets:
+                report = BasinReport(radii=tuple(radii[:size]), labels=labels, finals=())
+                assert report.monotone == _monotone_by_loop(report.radii, labels)
 
 
 def test_basin_probe_at_large_effort_reaches_the_upper_state(inst5, tanh):

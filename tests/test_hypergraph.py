@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -41,6 +42,56 @@ def test_build_arrays_read_only(inst5):
         inst5.a2[0, 1] = 5.0
     with pytest.raises(ValueError):
         inst5.b[0, 1, 2] = 5.0
+
+
+def test_b_is_the_built_tensor_rebuilt_from_the_triples(monkeypatch, mixed_ratio_arrays):
+    assert [f.name for f in dataclasses.fields(hd.Hypergraph2)] == [
+        "a2", "triples", "degrees", "alpha"]
+    built, real_build = [], hypergraph.build
+
+    def recording_build(a2, b):
+        built.append(np.array(b))
+        return real_build(a2, b)
+
+    monkeypatch.setattr(hypergraph, "build", recording_build)
+    cases = [(hd.random_instance(5, 0.8, 0.2, 1.0, 1), built[-1]),
+             (hd.random_instance(40, 0.2, 0.1, 1.0, 3), built[-1])]
+    a2, b = mixed_ratio_arrays
+    b = b.copy()
+    cases.append((real_build(a2, b), b.copy()))
+    b[0, 1, 2] = 9.0  # the instance keeps no view of its input
+    for g, b in cases:
+        assert g.b.shape == b.shape and g.b.tobytes() == b.tobytes()
+
+
+def test_build_keeps_less_than_one_dense_tensor():
+    n = 60
+    g = hd.random_instance(n, 0.2, 0.05, 1.0, 3)
+    tracemalloc.start()
+    try:
+        a2, b = np.array(g.a2), np.array(g.b)
+        kept = hd.build(a2, b)
+        del a2, b
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.triples.w.size > 0
+    assert held < 8 * n ** 3
+
+
+def test_numerical_paths_never_read_the_dense_tensor(monkeypatch, inst5, mixed_ratio, tanh):
+    def refuse(self):
+        raise AssertionError("a numerical path read the dense tensor")
+
+    monkeypatch.setattr(hd.Hypergraph2, "b", property(refuse))
+    for g in (inst5, mixed_ratio):
+        s = hd.SystemInstance(graph=g, psi=tanh, pi=1.7)
+        hd.thresholds(g)
+        hd.find_all(s)
+        hd.integrate(s, np.full(g.n, 2.0))
+        hd.basin_probe(s, [0.05, 2.0])
+        hd.normal_form_coeffs(g, tanh)
+        hd.sweep(g, tanh, pi_grid=np.array([0.5, 1.7, 3.0]))
 
 
 def test_build_derives_the_sorted_triple_list(inst5, mixed_ratio, c5):
@@ -340,6 +391,16 @@ def test_scale_two_interactions(inst5):
     assert np.allclose(half.b, 0.5 * inst5.b)
     none = hd.scale_two_interactions(inst5, 0.0)
     assert none.alpha == 0.0
+
+
+def test_scaling_near_the_float_maximum_round_trips(inst5):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = hd.scale_two_interactions(inst5, 5e307)
+        back = hd.from_text(hd.to_text(huge))
+    assert huge.alpha == pytest.approx(5e307, rel=1e-12)
+    assert back.alpha == huge.alpha
+    assert back.b.tobytes() == huge.b.tobytes()
 
 
 def test_compute_degrees_manual(k3):

@@ -111,6 +111,16 @@ def test_perron_pair_near_degenerate_raises():
         perron_pair(g)
 
 
+def test_gap_is_relative_to_the_leading_eigenvalue():
+    # a shared ratio scales the normalized spectrum by 1 / (1 + alpha): the
+    # absolute gap is 6.5e-10, the relative one 0.654
+    alpha = 1e9
+    g = hd.random_instance(5, 0.8, 0.2, alpha, 1)
+    assert thresholds(g).pi1 == pytest.approx(1.0 + alpha, rel=1e-9, abs=0)
+    assert perron_pair(g)[0] == pytest.approx(1.0 / (1.0 + alpha), rel=1e-9, abs=0)
+    hd.normal_form_coeffs(g)
+
+
 def test_h_matrix_row_stochastic(inst5, k3, mixed_ratio):
     for g in (inst5, k3, mixed_ratio):
         h = h_matrix(g)
