@@ -1,25 +1,16 @@
 """Effort sweeps: branch threading, bistability interval, basin probes.
 
 A sweep runs the global equilibrium search over its whole effort grid
-(``equilibria._search_grid``: chunks of whole levels, each one Newton
-stack), then threads the per-level results into branches by greedy
-nearest-neighbor matching in sup norm (natural-parameter continuation).
-An unmatched branch is rescued once by a Newton run seeded from its last
-state; a rescue that lands on an equilibrium already claimed by another
-branch (the same equilibrium in the sense of ``find_all``'s dedup) records a
-merge and terminates the branch there. Branch births at interior grid points
-caused by a root-count increase are annotated as folds, the first point where
-a branch enters or leaves the 'stable' classification as its stability
-change. A branch that simply stops before the end of the grid records
-its termination by its last point.
-
-Every level's result is independent of the others, so how the search
-splits the grid into chunks never changes the result; threading is a
-sequential deterministic pass.
+(``equilibria._search_grid``) and threads the records into branches by
+tangent prediction and Newton correction (``_successors``). A branch born
+at an interior level where the record count grows is annotated as a fold,
+and the first level where it enters or leaves the 'stable' classification
+as its stability change.
 """
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -30,17 +21,10 @@ from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
 # integrate and find_all are not called here; benchmarks/tracing.py binds them
 # by these names
-from .dynamics import SystemInstance, _rk4_rows, integrate
-from .equilibria import (
-    ScalarReduced,
-    _newton_raw,
-    _same_equilibrium,
-    _search_grid,
-    classify,
-    consensus_roots,
-    find_all,
-    pi1_star,
-)
+from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
+from .equilibria import (ScalarReduced, _chunks, _classify_rows, _newton_raw, _newton_rows,
+                         _same_equilibrium, _search_grid, _solve_rows, classify, consensus_roots,
+                         find_all, pi1_star)
 from .spectra import thresholds
 
 __all__ = [
@@ -56,9 +40,6 @@ __all__ = [
     "write_diagram_svg",
 ]
 
-# Matching tolerance floor and slope multiplier for branch threading.
-_MATCH_FLOOR = 0.05
-_SLOPE_INIT = 10.0
 _ATTRACTOR_TOL = 1e-4
 # default effort grid of a sweep: 1000 levels
 PI_MIN, PI_MAX, PI_STEP = 0.005, 5.0, 0.005
@@ -105,10 +86,6 @@ def make_grid(pi_min: float, pi_max: float, pi_step: float) -> np.ndarray:
     return grid[grid <= pi_max + 1e-12]
 
 
-def _match_tol(slope: float, dpi: float) -> float:
-    return max(_SLOPE_INIT * dpi * slope, _MATCH_FLOOR)
-
-
 def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
           pi_grid=None) -> SweepResult:
     """Thread equilibria across an increasing effort grid into branches.
@@ -121,91 +98,103 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
         raise ValueError(f"pi_grid must be a non-empty one-dimensional grid, got shape {grid.shape}")
     if not (np.all(np.diff(grid) > 0.0) and 0.0 < grid[0] and grid[-1] < np.inf):
         raise ValueError("pi_grid must be finite, positive and strictly increasing")
-    SystemInstance(graph=g, psi=psi, pi=float(grid[-1]))
+    s = SystemInstance(graph=g, psi=psi, pi=float(grid[-1]))
 
     per_pi = _search_grid(g, psi, grid)
+    recs = [eq for eqs in per_pi for eq in eqs]
+    at = [ids.tolist() for ids in np.split(np.arange(len(recs)),
+                                           np.cumsum([len(eqs) for eqs in per_pi])[:-1])]
+    nxt, near = _successors(s, grid, recs, at)
 
     branches: list[BifurcationBranch] = []
-    active: list[int] = []
-    slopes: dict[int, float] = {}
-
-    def new_branch(pi, eq, fold_at=None):
-        b = BifurcationBranch(branch_id=len(branches), points=[(pi, eq)], fold_at=fold_at)
-        branches.append(b)
-        active.append(b.branch_id)
-        slopes[b.branch_id] = _SLOPE_INIT
-
-    for eq in per_pi[0]:
-        new_branch(float(grid[0]), eq)
-
-    for k in range(1, grid.size):
-        pi = float(grid[k])
-        dpi = float(grid[k] - grid[k - 1])
-        eqs = per_pi[k]
-        pairs = []
-        for bi in active:
-            last = branches[bi].points[-1][1].state
-            for ei, eq in enumerate(eqs):
-                pairs.append((float(np.abs(eq.state - last).max()), bi, ei))
-        pairs.sort()
-        matched_b: set[int] = set()
-        claimed_e: set[int] = set()
-        for d, bi, ei in pairs:
-            if bi in matched_b or ei in claimed_e:
-                continue
-            if d > _match_tol(slopes[bi], dpi):
-                continue
-            branches[bi].points.append((pi, eqs[ei]))
-            slopes[bi] = max(slopes[bi], d / dpi)
-            matched_b.add(bi)
-            claimed_e.add(ei)
-
-        still_active = []
-        for bi in active:
-            if bi in matched_b:
-                still_active.append(bi)
-                continue
-            # rescue pass: reseed Newton from the branch's last state
-            last = branches[bi].points[-1][1].state
-            s = SystemInstance(graph=g, psi=psi, pi=pi)
-            try:
-                x, res = _newton_raw(s, last)
-            except (NewtonDivergence, SingularJacobian):
-                continue
-            if float(np.abs(x - last).max()) > _match_tol(slopes[bi], dpi):
-                continue
-            hit = next((ei for ei, eq in enumerate(eqs) if _same_equilibrium(x, eq.state)),
-                       None)
-            if hit is not None and hit in claimed_e:
-                # merged into another branch; record the collision point and stop
-                branches[bi].points.append((pi, eqs[hit]))
-                continue
-            if hit is not None:
-                branches[bi].points.append((pi, eqs[hit]))
-                claimed_e.add(hit)
-            else:
-                branches[bi].points.append((pi, classify(s, x, res)))
-            still_active.append(bi)
-        active = still_active
-
-        born_from_growth = len(eqs) > len(per_pi[k - 1])
-        for ei, eq in enumerate(eqs):
-            if ei not in claimed_e:
-                new_branch(pi, eq, fold_at=pi if born_from_growth else None)
+    active: list[tuple] = []  # (branch, record at its tip)
+    for k, pi in enumerate(grid.tolist()):
+        claims: dict[int, list] = {}
+        for bi, r in active:
+            if r in nxt:
+                claims.setdefault(nxt[r], []).append((near[r], bi))
+        # the tip predicted nearest goes on; the others merge there and end
+        active = []
+        for r, tips in claims.items():
+            for _, bi in tips:
+                branches[bi].points.append((pi, recs[r]))
+            active.append((min(tips)[1], r))
+        fold_at = pi if k and len(at[k]) > len(at[k - 1]) else None
+        for r in at[k]:
+            if r not in claims:
+                active.append((len(branches), r))
+                branches.append(BifurcationBranch(len(branches), [(pi, recs[r])], fold_at))
 
     for b in branches:
-        for (pi_prev, eq_prev), (pi_cur, eq_cur) in zip(b.points, b.points[1:]):
-            if (eq_prev.classification == "stable") != (eq_cur.classification == "stable"):
-                b.stability_change_at = pi_cur
-                break
+        flips = [pi for (_, e0), (pi, e1) in zip(b.points, b.points[1:])
+                 if (e0.classification == "stable") != (e1.classification == "stable")]
+        b.stability_change_at = flips[0] if flips else None
 
-    bistability = None
-    if g.alpha is not None and g.alpha > 0.0:
-        try:
-            bistability = bistability_interval(g, psi)
-        except NoBistabilityError:
-            bistability = None
+    try:  # alpha is None, 0 or positive
+        bistability = bistability_interval(g, psi) if g.alpha else None
+    except NoBistabilityError:
+        bistability = None
     return SweepResult(grid=grid, branches=branches, bistability=bistability)
+
+
+def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
+    """Continue every record below the last level one level up: a step from
+    x at level a to b predicts x + (b - a) dx/dpi, dx/dpi = -J^-1 (D x / pi)
+    (0 for a singular J), and corrects it by Newton at b. It stands when the
+    step back returns to x, and is halved otherwise; a branch ends where
+    Newton fails or a half is no new level. Returns ``nxt``, the first record
+    each record's last step matches (``_same_equilibrium``), and ``near``,
+    the sup distance of that step's prediction to it. A state that matches
+    no record is a search miss, kept as a record (``recs``, ``at``) and
+    continued. A round runs one Newton stack per ``_chunks`` range of its
+    steps, and one for the steps back."""
+    g, psi = s.graph, s.psi
+    nxt, near = {}, {}
+    # steps: (record, state, level from, level to, index of the next grid level)
+    todo, fresh = [], [(r, k) for k, ids in enumerate(at) for r in ids]
+    while todo or fresh:
+        todo += [(q, recs[q].state, grid[t], grid[t + 1], t + 1)
+                 for q, t in fresh if t + 1 < grid.size]
+        pending, arrived, fresh = [], [], []
+        for a, b in _chunks(np.ones(len(todo), dtype=int), g.n):
+            part = todo[a:b]
+            X, lo, hi = (np.array([w[j] for w in part]) for j in (1, 2, 3))
+            y, res, pred, ok = _step(s, X, lo[:, None], hi[:, None])
+            back, _, _, back_ok = _step(s, y[ok], hi[ok, None], lo[ok, None])
+            stands = ok.copy()
+            stands[ok] = back_ok & _same_equilibrium(back, X[ok])
+            for i, (r, x, a_pi, b_pi, t) in enumerate(part):
+                if stands[i] and b_pi < grid[t]:
+                    pending.append((r, y[i], b_pi, grid[t], t))
+                elif stands[i]:
+                    arrived.append((t, r, y[i], res[i], pred[i]))
+                elif ok[i] and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
+                    pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
+        for t, group in itertools.groupby(sorted(arrived, key=lambda w: w[0]), lambda w: w[0]):
+            group, known = list(group), len(at[t])
+            same = _same_equilibrium(np.array([w[2] for w in group])[:, None],
+                                     np.array([recs[q].state for q in at[t]]))
+            for (_, r, y, res, pred), row in zip(group, same):
+                hit = at[t][row.argmax()] if row.any() else next(
+                    (q for q in at[t][known:] if _same_equilibrium(y, recs[q].state)), None)
+                if hit is None:  # a search miss: a new record of level t
+                    hit = len(recs)
+                    recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
+                    at[t].append(hit)
+                    fresh.append((hit, t))
+                nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
+        todo = pending
+    return nxt, near
+
+
+def _step(s: SystemInstance, X: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Newton at the levels ``b`` (m, 1) from the tangent predictions of the
+    equilibria ``X`` (m, n) at the levels ``a`` (dF/dpi = D x / pi there):
+    states, residuals, predictions and which rows converged."""
+    tangent, _ = _solve_rows(_jacobian(s.graph, s.psi, a, X), -s.graph.degrees * X / a)
+    pred = X + (b - a) * tangent
+    x, res, cause = _newton_rows(s, pred, b)
+    return x, res, pred, cause == "converged"
 
 
 def bistability_interval(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> tuple:

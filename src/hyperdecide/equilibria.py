@@ -24,7 +24,7 @@ exists; each chunk's seeds are then built in one pass, with array
 arithmetic that is bitwise the per-level rule. Two states are the same
 equilibrium when they lie within sup distance max(1e-6, 1e-12 |y|_inf) of
 each other, y the one kept first (``_same_equilibrium``); the sweep's
-branch rescue uses the same test.
+threading uses the same test.
 """
 from __future__ import annotations
 
@@ -244,6 +244,22 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     return float(level[0]), float(eps_star[0])
 
 
+def _solve_rows(j: np.ndarray, rhs: np.ndarray):
+    """The solutions of the systems j[r] x = rhs[r] (j (m, n, n), rhs (m, n))
+    and which rows were solved: one stacked solve, or one solve per row when
+    some matrix is singular, whose row is left 0."""
+    try:
+        return np.linalg.solve(j, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for r in range(len(rhs)):
+            try:
+                x[r] = np.linalg.solve(j[r], rhs[r])
+            except np.linalg.LinAlgError:
+                solved[r] = False
+        return x, solved
+
+
 def _newton_rows(s: SystemInstance, X0, pi=None):
     """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
     following the iteration it would follow alone until it is done. Row r
@@ -280,19 +296,10 @@ def _newton_rows(s: SystemInstance, X0, pi=None):
         live = live[(np.abs(x[live]).max(axis=1) <= limit[live]) & np.isfinite(res[live])]
         if not live.size:
             break
-        j, rhs = _jacobian(g, psi, pi[live], x[live]), -fx[live]
-        try:
-            step = np.linalg.solve(j, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:  # some matrix of the stack is singular
-            step, solved = np.empty_like(rhs), np.ones(live.size, dtype=bool)
-            for k in range(live.size):
-                try:
-                    step[k] = np.linalg.solve(j[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    solved[k] = False
-            failed = live[~solved]
-            cause[failed] = np.where(res[failed] < RESIDUAL_TOL, "converged", "singular")
-            live, step = live[solved], step[solved]
+        step, solved = _solve_rows(_jacobian(g, psi, pi[live], x[live]), -fx[live])
+        failed = live[~solved]
+        cause[failed] = np.where(res[failed] < RESIDUAL_TOL, "converged", "singular")
+        live, step = live[solved], step[solved]
         step_inf[live] = np.abs(step).max(axis=1)
         x_l, r_l, pi_l = x[live], res[live], pi[live]
         x_new = x_l + step
@@ -404,8 +411,9 @@ def _seed_stack(pis: np.ndarray, roots: np.ndarray, uniform: np.ndarray) -> np.n
 
 def _same_equilibrium(x: np.ndarray, y: np.ndarray):
     """True where ``x`` (n,), or each row of ``x`` (m, n), lies within sup
-    distance max(1e-6, 1e-12 |y|_inf) of the state ``y`` already kept."""
-    return np.abs(x - y).max(axis=-1) < max(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max())
+    distance max(1e-6, 1e-12 |y|_inf) of the state ``y`` already kept, or of
+    the same row of a stack ``y`` (m, n)."""
+    return np.abs(x - y).max(axis=-1) < np.maximum(_DEDUP_TOL, _DEDUP_RTOL * np.abs(y).max(axis=-1))
 
 
 def _chunks(sizes, n: int):

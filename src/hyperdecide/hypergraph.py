@@ -332,14 +332,14 @@ def compute_degrees(a2, b) -> np.ndarray:
 
 
 def _detect_alpha(pair_mass: np.ndarray, tri_mass: np.ndarray) -> Optional[float]:
-    ratios = tri_mass / pair_mass
-    spread = float(ratios.max() - ratios.min())
-    if spread <= _ALPHA_RTOL * max(1.0, float(np.abs(ratios).max())):
-        with np.errstate(over="ignore"):
-            mean = float(ratios.mean())
-        # the sum overflows near the float maximum; offsets from one ratio cannot
-        return mean if np.isfinite(mean) else float(ratios[0] + (ratios - ratios[0]).mean())
-    return None
+    with np.errstate(over="ignore"):
+        ratios = tri_mass / pair_mass
+        mean = float(ratios.mean())
+    top = float(ratios.max())
+    if not (np.isfinite(top) and top - ratios.min() <= _ALPHA_RTOL * max(1.0, top)):
+        return None
+    # the sum overflows near the float maximum; offsets from one ratio cannot
+    return mean if np.isfinite(mean) else float(ratios[0] + (ratios - ratios[0]).mean())
 
 
 def build(a2, b) -> Hypergraph2:
@@ -347,7 +347,9 @@ def build(a2, b) -> Hypergraph2:
 
     Raises the error named after the first violated requirement. Consistency
     across different agents' 2-interaction matrices is deliberately not
-    enforced; each slice stands on its own.
+    enforced; each slice stands on its own. ``alpha`` is the shared ratio of
+    triple to pairwise mass, or None when the agents' ratios differ or one
+    of them is not finite.
     """
     a2, b, pair_mass, tri_mass = _arrays(a2, b)
     a2 = a2.copy()

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 
@@ -16,7 +17,7 @@ from hyperdecide.bifurcation import (
     write_diagram_svg,
 )
 from hyperdecide.dynamics import SystemInstance
-from hyperdecide import equilibria
+from hyperdecide import dynamics, equilibria
 from hyperdecide.equilibria import ScalarReduced, pi1_star
 from hyperdecide.errors import DimensionError, NoBistabilityError
 
@@ -87,16 +88,85 @@ def test_sweep_collision_annotations(small_sweep):
     assert lower.points[-1][1].norm_inf < 1e-10
 
 
-def test_sweep_branch_steps_bounded(small_sweep):
-    for b in small_sweep.branches:
-        pis = b.pis()
-        assert np.all(np.diff(pis) > 0)
-        states = b.states()
-        if len(states) < 2:
-            continue
-        steps = np.abs(np.diff(states, axis=0)).max(axis=1)
-        slope = max(steps.max() / 0.05, 1e-9)
-        assert np.all(steps <= 10.0 * 0.05 * slope + 1e-12)
+@pytest.fixture(scope="module")
+def found_instance():
+    """A 3-agent instance without a shared ratio (agent i's triples scaled by
+    the i-th factor) whose sweep once threaded a branch onto an unrelated
+    equilibrium, a sup-norm jump of 1.90."""
+    g = hd.random_instance(3, 0.8, 0.4, 2.6206603361887857, 102)
+    f = np.array([0.50789796, 1.73184263, 1.69560414])
+    return hd.build(g.a2, g.b * f[:, None, None])
+
+
+@pytest.fixture(scope="module")
+def found_sweep(found_instance, tanh):
+    return sweep(found_instance, tanh, make_grid(0.02, 5, 0.02))
+
+
+@pytest.fixture(scope="module")
+def coarse_instance():
+    """A shared-ratio instance whose lower fold branch bends so sharply past
+    the fold that a single tangent step from 1.4 overshoots onto the origin
+    at 1.5 on a grid of step 0.1."""
+    return hd.random_instance(5, 0.8, 0.4, 0.6450121120676401, 1016)
+
+
+@pytest.fixture(scope="module")
+def coarse_sweep(coarse_instance, tanh):
+    return sweep(coarse_instance, tanh, make_grid(0.1, 5, 0.1))
+
+
+def _sub_step_route(g, psi, x, a, b, parts=10):
+    """Continue the equilibria ``x`` (m, n) at the levels ``a`` (m,) to the
+    levels ``b`` through ``parts`` equal sub-steps, each a prediction along
+    the tangent -J^-1 (D x / pi) and a Newton correction."""
+    s = SystemInstance(graph=g, psi=psi, pi=float(b.max()))
+    for i in range(parts):
+        lo, hi = (a + (b - a) * i / parts)[:, None], (a + (b - a) * (i + 1) / parts)[:, None]
+        j, rhs = dynamics._jacobian(g, psi, lo, x), -g.degrees * x / lo
+        tangent = np.zeros_like(x)
+        for r in range(len(x)):
+            with contextlib.suppress(np.linalg.LinAlgError):  # singular: no tangent
+                tangent[r] = np.linalg.solve(j[r], rhs[r])
+        x, _, cause = equilibria._newton_rows(s, x + (hi - lo) * tangent, hi[:, 0])
+        assert (cause == "converged").all()
+    return x
+
+
+@pytest.mark.parametrize("instance, result", [("inst5", "small_sweep"),
+                                              ("found_instance", "found_sweep"),
+                                              ("coarse_instance", "coarse_sweep")],
+                         ids=["inst5", "found", "coarse"])
+def test_sweep_branch_steps_follow_ten_sub_steps(instance, result, tanh, request):
+    g, res = request.getfixturevalue(instance), request.getfixturevalue(result)
+    steps = [(p0, e0.state, p1, e1.state) for b in res.branches
+             for (p0, e0), (p1, e1) in zip(b.points, b.points[1:])]
+    a, x, b, y = (np.array(col) for col in zip(*steps))
+    assert np.all(a < b)
+    assert equilibria._same_equilibrium(_sub_step_route(g, tanh, x, a, b), y).all()
+
+
+def test_sweep_threads_the_coarse_fold_branch_to_the_end(coarse_sweep):
+    # the fold pair is born at 1.4 and both halves run to the end of the
+    # grid, the lower one through its crossing with the origin at pi1; a
+    # branch ended early would leave its later records a branch of their own
+    starts = [(round(b.points[0][0], 9), round(b.points[-1][0], 9), b.fold_at is not None)
+              for b in coarse_sweep.branches]
+    assert starts == [(0.1, 5.0, False), (1.4, 5.0, True), (1.4, 5.0, True)]
+
+
+def test_sweep_does_not_jump_onto_an_unrelated_equilibrium(found_sweep):
+    start, end = np.array([-0.505, 0.275, -0.522]), np.array([-0.853, -1.627, 1.109])
+
+    def near(eq, state):
+        return np.abs(eq.state - state).max() < 1e-3
+
+    records = [(pi, eq) for b in found_sweep.branches for pi, eq in b.points]
+    assert any(abs(pi - 2.78) < 1e-9 and near(eq, start) for pi, eq in records)
+    assert any(abs(pi - 2.80) < 1e-9 and near(eq, end) for pi, eq in records)
+    for b in found_sweep.branches:
+        for (p0, e0), (p1, e1) in zip(b.points, b.points[1:]):
+            assert not (abs(p0 - 2.78) < 1e-9 and near(e0, start) and near(e1, end))
 
 
 def test_sweep_bistability_attached(small_sweep):

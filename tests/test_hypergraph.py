@@ -338,6 +338,14 @@ def test_alpha_detection_zero_and_none(c5, mixed_ratio):
     assert mixed_ratio.alpha is None
 
 
+def test_ratio_overflow_means_no_shared_ratio(inst5):
+    # subnormal pairwise masses: every triple-to-pairwise ratio overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = hd.build(inst5.a2 * 1e-310, inst5.b)
+    assert g.alpha is None
+
+
 def test_random_instance_deterministic():
     g1 = hd.random_instance(5, 0.8, 0.2, 1.0, 7)
     g2 = hd.random_instance(5, 0.8, 0.2, 1.0, 7)

@@ -65,18 +65,21 @@ from tracing import Tracer, layer_metrics
 counts = {"_seed_stack": 0, "_newton_rows": 0}
 
 
-def counted(name):
-    fn = getattr(hd.equilibria, name)
+def counted(module, name):
+    fn = getattr(module, name)
 
     def call(*args):
         counts[name] += 1
         return fn(*args)
 
-    setattr(hd.equilibria, name, call)
+    setattr(module, name, call)
 
 
-for name in counts:
-    counted(name)
+# the grid search calls both names in hd.equilibria; the threading calls
+# _newton_rows by its name in hd.bifurcation
+for module, name in [(hd.equilibria, "_seed_stack"), (hd.equilibria, "_newton_rows"),
+                     (hd.bifurcation, "_newton_rows")]:
+    counted(module, name)
 tracer = Tracer(memory=False)
 tracer.install(hd)
 with open(sys.argv[1]) as fh:
@@ -105,10 +108,11 @@ def test_traced_sweep_runs_one_search_per_level():
     assert out["diagram"] == hd.bifurcation.diagram_csv(
         hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8]))
     # the three levels in one chunk: one seed stack and one Newton stack
-    # that bypass the traced one-level names; the only traced Newton runs
-    # are the five samples of bistability_interval (no rescue), each of
-    # which classifies the origin and the upper state
+    # that bypass the traced one-level names; the threading's one round:
+    # one Newton stack of the steps up and one of the steps back; the only
+    # traced Newton runs are the five samples of bistability_interval (no
+    # rescue), each of which classifies the origin and the upper state
     assert out["seed_stacks"] == 1
-    assert out["newton_stacks"] == 1 + 5
+    assert out["newton_stacks"] == 1 + 2 + 5
     assert out["find_all_calls"] == 0
     assert (out["newton_runs"], out["rescue_runs"], out["classify_calls"]) == (5, 0, 10)
