@@ -8,23 +8,27 @@ state c*ones is stationary exactly when the scalar balance
 vanishes. For c > 0 the gap is h(c) (pi - F(c)), F(c) = (1 + alpha) c / h(c),
 h = psi + alpha psi^2. F has a single minimum, the fold level (least effort
 with a positive root pair); each side of its minimizer holds at most one root.
-General equilibria are found by damped Newton from one fixed seed rule and
-classified by the spectrum of the Jacobian. The damping halves a step up to
-29 times, in blocks of 1, 2, 4, 8 and 14 halvings that each take one field
-call for all rows and factors, with the outcome of one halving at a time.
-The seeds of many levels advance together as one (m, n) stack, each row at
-its own level: a grid search runs chunks of whole levels of at most
-1e5 / n^2 rows, and ``find_all`` is its one-level case. The seeds are
-c * ones for c in +-linspace(0, pi + 1, 11), the lifted consensus roots
-(with their negatives when alpha = 0) and six uniform draws on
-[-(pi + 1), pi + 1]^n from rng seed 0. A grid search bisects the consensus
-roots of all its levels as one array, each element following the scalar
-loop, so the root counts give every level's seed count before any stack
-exists; each chunk's seeds are then built in one pass, with array
-arithmetic that is bitwise the per-level rule. Two states are the same
-equilibrium when they lie within sup distance max(1e-6, 1e-12 |y|_inf) of
-each other, y the one kept first (``_same_equilibrium``); the sweep's
-threading uses the same test.
+For c < 0, gap'(c) = -(1 + alpha) + pi psi'(c) (1 + 2 alpha psi(c)), and both
+psi' and 1 + 2 alpha psi shrink as c decreases, so gap' changes sign at most
+once there; with gap(0) = 0 and gap(-max(50, 2 pi)) > 0 the negative side
+holds exactly one root when pi > 1 + alpha and none otherwise.
+General equilibria are found by damped Newton (``_newton_rows``) from one
+fixed seed rule and classified by the spectrum of the Jacobian. The seeds of
+many levels advance together as one (m, n) stack, each row at its own level:
+a grid search runs chunks of whole levels of at most 1e5 / n^2 rows, and
+``find_all`` is its one-level case. The seeds are 0 * ones, the consensus
+seeds and six uniform draws on [-(pi + 1), pi + 1]^n from rng seed 0. With a
+shared ratio the field at c * ones and the Jacobian's image of ones are
+multiples of the degree vector, so Newton from c * ones stays on the
+consensus line: the consensus seeds are the lifted roots, positive and
+negative, which are every consensus equilibrium but the origin. Without one
+they are c * ones for c in +-linspace(0, pi + 1, 11). The roots of all
+levels come from one array bisection, each element following the scalar
+loop, so every level's seed count is known before any stack exists; each
+chunk's seeds are built in one pass, bitwise the per-level rule. Two states
+are the same equilibrium when they lie within sup distance
+max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
+(``_same_equilibrium``); the sweep's threading uses the same test.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NewtonDivergence, SingularJacobian
 from .hypergraph import Hypergraph2, _triple_term
-from .nonlinearity import SigmoidFamily, tanh_family
+from .nonlinearity import SigmoidFamily, tanh_family, verify_assumptions
 # jacobian and general_eigenvalues are not called here; benchmarks/tracing.py
 # binds them by these names
 from .dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian, _one_state,
@@ -71,15 +75,16 @@ _CONSENSUS_RTOL = 1e-12
 # states closer than max(1e-6, 1e-12 |y|_inf) to a kept state y are merged
 _DEDUP_TOL = 1e-6
 _DEDUP_RTOL = 1e-12
-# the seed rule: 11 consensus points on [0, pi + 1], 6 uniform draws from rng seed 0
+# the seed rule: without a shared ratio 11 consensus points on [0, pi + 1];
+# 6 uniform draws from rng seed 0
 _SEED_CONSENSUS_POINTS = 11
 _SEED_RANDOM_COUNT = 6
 _SEED_RNG = 0
 _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
-# rows * n^2 of one Newton stack of a grid search: about 140 levels of 28
-# seeds at n = 5, one level (the least a chunk holds) at n = 120, where one
-# bigger stack ran slower
+# rows * n^2 of one Newton stack of a grid search: about 440 levels of 7 to
+# 9 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
+# at n = 120, where one bigger stack ran slower
 _STACK_BUDGET = 100_000
 # The line search's damping factors 1/2, 1/4, ..., 2^-29, tried in blocks
 # of 1, 2, 4, 8 and 14 factors, each block one field call. Small blocks
@@ -173,37 +178,31 @@ def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> li
     once psi rounds to 1 the gap at pi itself is exactly 0. The fold state of
     ``pi1_star`` splits the range into two pieces on which F is monotone, and
     a sign change on either piece is bisected to 1e-12.
-    Returns 0, 1 or 2 roots in ascending order. Negative roots are never
-    searched here: for alpha > 0 the balance is not odd, and the negative
-    side is reached by Newton runs from negative seeds instead.
+    Returns 0, 1 or 2 roots in ascending order. The negative root, which
+    the global search seeds from as well, is not returned here.
     """
     psi = psi or tanh_family()
-    roots = _consensus_roots(r.alpha, np.array([r.pi], dtype=float), psi,
-                             _fold_split(r.alpha, psi))[0]
+    roots = _consensus_roots(r.alpha, np.array([r.pi], dtype=float), psi)[0, :2]
     return roots[~np.isnan(roots)].tolist()
 
 
-def _fold_split(alpha: float, psi: SigmoidFamily) -> float:
-    """The fold state of ``pi1_star``, at least 1e-8: where the consensus
-    root range splits. It does not depend on the effort level."""
-    return max(pi1_star(alpha, psi)[1], _ROOT_EPS_MIN)
-
-
-def _consensus_roots(alpha: float, pis: np.ndarray, psi: SigmoidFamily,
-                     split: float) -> np.ndarray:
-    """``consensus_roots`` at every level of ``pis`` (L,) with the fold split
-    ``_fold_split`` given, as one bisection over both pieces of every level:
-    (L, 2), column 0 the root below the split and column 1 the root above
-    it, NaN where a piece holds none."""
-    pi = np.repeat(pis, 2)  # the two pieces of every level
-    lo = np.tile([_ROOT_EPS_MIN, split], pis.size)
-    hi = np.maximum(_ROOT_EPS_MAX, 2.0 * pi)
-    hi[::2] = split
+def _consensus_roots(alpha: float, pis: np.ndarray, psi: SigmoidFamily) -> np.ndarray:
+    """The consensus roots at every level of ``pis`` (L,), as one bisection
+    over three pieces of every level: (L, 3), column 0 the root on [1e-8,
+    split] and column 1 the root on [split, max(50, 2 pi)] (the two of
+    ``consensus_roots``; the split is the fold state of ``pi1_star``, at
+    least 1e-8, the same at every level), column 2 the root on
+    [-max(50, 2 pi), -1e-8]; NaN where a piece holds none."""
+    split = max(pi1_star(alpha, psi)[1], _ROOT_EPS_MIN)
+    pi = np.repeat(pis, 3)  # the three pieces of every level
+    top = np.maximum(_ROOT_EPS_MAX, 2.0 * pis)
+    lo = np.column_stack(np.broadcast_arrays(_ROOT_EPS_MIN, split, -top)).ravel()
+    hi = np.column_stack(np.broadcast_arrays(split, top, -_ROOT_EPS_MIN)).ravel()
     flo = _gap(alpha, pi, lo, psi)
     b = np.flatnonzero(flo * _gap(alpha, pi, hi, psi) < 0.0)
     roots = np.full(pi.size, np.nan)
     roots[b] = _bisect(lambda e, rows: _gap(alpha, pi[b[rows]], e, psi), lo[b], hi[b], flo[b])
-    return roots.reshape(pis.size, 2)
+    return roots.reshape(pis.size, 3)
 
 
 def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, float]:
@@ -388,25 +387,20 @@ def newton_find(s: SystemInstance, x0) -> Equilibrium:
     return classify(s, x, res)
 
 
-def _seed_stack(pis: np.ndarray, roots: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+def _seed_stack(pis: np.ndarray, scales: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     """The seed stacks (m, n) of the global search at the levels ``pis``
     (L,), one level after another, each in the order the search keeps the
-    first of two equal results: 0 * ones, then +c * ones and -c * ones for
-    each c > 0 of linspace(0, pi + 1, 11), then c * ones for each lifted
-    consensus root c of the level's row of ``roots`` (L, k) that is not NaN,
+    first of two equal results: 0 * ones, then c * ones for each c of the
+    level's row of ``scales`` (L, k) that is not NaN (the consensus seeds),
     then the uniform rows -(pi + 1) + 2 (pi + 1) U for the draws ``uniform``
     U (6, n), the arithmetic of ``Generator.uniform``."""
     bound = pis + 1.0
-    c = np.linspace(0.0, bound, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
-    scales = np.hstack([np.zeros((pis.size, 1)), np.stack([c, -c], axis=2).reshape(pis.size, -1),
-                        roots])
+    scales = np.hstack([np.zeros((pis.size, 1)), scales])
     k = scales.shape[1]
     stack = np.empty((pis.size, k + len(uniform), uniform.shape[1]))
     stack[:, :k] = scales[..., None]
     stack[:, k:] = -bound[:, None, None] + (2.0 * bound)[:, None, None] * uniform
-    keep = np.ones(stack.shape[:2], dtype=bool)
-    keep[:, :k] = ~np.isnan(scales)
-    return stack[keep]
+    return stack[np.hstack([~np.isnan(scales), np.ones((pis.size, len(uniform)), dtype=bool)])]
 
 
 def _same_equilibrium(x: np.ndarray, y: np.ndarray):
@@ -432,29 +426,32 @@ def _chunks(sizes, n: int):
 
 def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equilibrium]]:
     """The global search at every effort level of ``levels``, level by level
-    the list ``find_all`` gives there. The consensus roots of all levels come
-    from one bisection, and their counts give every level's seed count, by
-    which ``_chunks`` groups the levels; a chunk's seed stack is built when
-    the chunk runs (``_search_chunk``)."""
+    the list ``find_all`` gives there. ValueError, before any level is
+    searched, when ``psi`` fails a clause of ``verify_assumptions``. The
+    consensus seeds of all levels come first: with a shared ratio the roots
+    of one bisection, else the grid. Their counts give every level's seed
+    count, by which ``_chunks`` groups the levels; a chunk's seed stack is
+    built when the chunk runs (``_search_chunk``)."""
+    failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
+    if failed:
+        raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
+                         "verify_assumptions: the consensus roots and seeds assume it")
     pis = np.array(levels, dtype=float).reshape(-1)
     if not pis.size:
         return []
     for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
         SystemInstance(graph=g, psi=psi, pi=float(pi))
-    if g.alpha is None:
-        roots = np.empty((pis.size, 0))
+    if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
+        c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
+        scales = np.stack([c, -c], axis=2).reshape(pis.size, -1)
     else:
-        roots = _consensus_roots(g.alpha, pis, psi, _fold_split(g.alpha, psi))
-        if g.alpha == 0.0:  # each root followed by its negative
-            roots = np.stack([roots, -roots], axis=2).reshape(pis.size, -1)
-    # 0, +-c for each c > 0 of the consensus grid, the roots, the uniform rows
-    sizes = (1 + 2 * (_SEED_CONSENSUS_POINTS - 1) + np.count_nonzero(~np.isnan(roots), axis=1)
-             + _SEED_RANDOM_COUNT)
+        scales = _consensus_roots(g.alpha, pis, psi)
+    sizes = 1 + np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
     uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
     out: list[list[Equilibrium]] = []
     for a, b in _chunks(sizes, g.n):
         out += _search_chunk(g, psi, pis[a:b], sizes[a:b],
-                             _seed_stack(pis[a:b], roots[a:b], uniform))
+                             _seed_stack(pis[a:b], scales[a:b], uniform))
     return out
 
 
@@ -489,7 +486,8 @@ def find_all(s: SystemInstance) -> list[Equilibrium]:
     """Newton from every seed of the fixed seed rule, all seeds advancing
     together as one stack, deduplicated in seed order by
     ``_same_equilibrium`` and sorted by sup norm: the one-level case of the
-    grid search ``_search_grid``.
+    grid search ``_search_grid``, which refuses a transmission family that
+    fails ``verify_assumptions``.
     Seeds that diverge are dropped silently; reordering the seed stack cannot
     change the result beyond its guaranteed sorting."""
     return _search_grid(s.graph, s.psi, [s.pi])[0]

@@ -428,27 +428,68 @@ def test_chunks_cover_the_grid_in_whole_levels_within_the_budget():
 def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     # lazy: a chunk's seed stack is built right before that chunk is
     # searched, so at most one stack is held at a time
-    events = []
+    events, rows = [], []
     seed_stack = equilibria._seed_stack
 
-    def build(pis, roots, uniform):
+    def build(pis, scales, uniform):
         events.append(("build", len(pis)))
-        return seed_stack(pis, roots, uniform)
+        return seed_stack(pis, scales, uniform)
 
     def search(g, psi, pis, sizes, seeds):
         assert len(seeds) == sum(sizes)
         assert len(pis) == 1 or len(seeds) * g.n ** 2 <= equilibria._STACK_BUDGET
         events.append(("search", len(pis)))
+        rows.extend(sizes.tolist())
         return [[] for _ in pis]
 
     monkeypatch.setattr(equilibria, "_seed_stack", build)
     monkeypatch.setattr(equilibria, "_search_chunk", search)
-    grid = 0.005 * np.arange(1, 301)
-    assert len(equilibria._search_grid(inst5, tanh, grid)) == 300
-    # 27 seeds at the 288 levels below the fold level 1.4436, 29 above it:
-    # 148 levels of 27 seeds fill 3 996 of the 4 000 rows, then 140 of 27
-    # and 7 of 29
-    assert events == [(kind, k) for k in (148, 147, 5) for kind in ("build", "search")]
+    grid = 0.005 * np.arange(1, 1001)
+    assert len(equilibria._search_grid(inst5, tanh, grid)) == 1000
+    # 0 and the 6 uniform rows at the 288 levels below the fold level
+    # 1.4436; with both positive roots up to 1.995; with the upper root
+    # alone at 2 = 1 + alpha, where the lower root has met the origin and
+    # the negative root is not yet born; with the upper and the negative
+    # root from 2.005 on
+    assert rows == [7] * 288 + [9] * 111 + [8] + [9] * 600
+    # 508 levels fill 3 995 of the 4 000 rows, then 444 of 9 and 48 of 9
+    assert events == [(kind, k) for k in (508, 444, 48) for kind in ("build", "search")]
+
+
+_BUMP = lambda x: np.exp(-4.0 * np.asarray(x, dtype=float) ** 2)
+UNSUITABLE = {
+    # x / (1 + |x|): odd, unit slope, increasing and s-shaped, but only 0.91 at 10
+    "saturated": hd.SigmoidFamily(eval=lambda x: x / (1.0 + np.abs(x)),
+                                  deriv=lambda x: (1.0 + np.abs(x)) ** -2.0,
+                                  deriv2=lambda x: -2.0 * np.sign(x) * (1.0 + np.abs(x)) ** -3.0,
+                                  name="rational"),
+    # tanh(x) + 0.4 x^3 exp(-4 x^2): convex just right of the origin
+    "sigmoidal": hd.SigmoidFamily(
+        eval=lambda x: np.tanh(x) + 0.4 * x ** 3 * _BUMP(x),
+        deriv=lambda x: 1.0 - np.tanh(x) ** 2 + 0.4 * (3.0 * x ** 2 - 8.0 * x ** 4) * _BUMP(x),
+        deriv2=lambda x: (-2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)
+                          + 0.4 * (6.0 * x - 56.0 * x ** 3 + 64.0 * x ** 5) * _BUMP(x)),
+        name="bumped-tanh"),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(UNSUITABLE))
+def test_search_refuses_a_family_that_fails_its_assumptions(inst5, monkeypatch, clause):
+    # the consensus roots and seeds rest on every clause; the refusal names
+    # the failing one before any root is bisected or any Newton row runs
+    family = UNSUITABLE[clause]
+    report = hd.verify_assumptions(family)
+    assert [c.name for c in report.clauses if not c.passed] == [clause]
+
+    def searched(*args):
+        raise AssertionError("searched a level")
+
+    for name in ("_consensus_roots", "_newton_rows"):
+        monkeypatch.setattr(equilibria, name, searched)
+    with pytest.raises(ValueError, match=f"'{clause}' clause"):
+        find_all(SystemInstance(graph=inst5, psi=family, pi=1.7))
+    with pytest.raises(ValueError, match=f"'{clause}' clause"):
+        hd.sweep(inst5, family, [1.6, 1.7, 1.8])
 
 
 def test_find_all_seed_order_irrelevant(inst5, tanh, monkeypatch):

@@ -257,21 +257,51 @@ def plain_consensus_roots(alpha, pi, psi):
     return roots
 
 
-def plain_seeds(s):
-    """The seed rule at one level, in seed order: 0, then +-c for each c > 0
-    of linspace(0, pi + 1, 11), then the consensus roots (each followed by
-    its negative when alpha = 0), all times ones; then six
-    ``Generator.uniform`` rows on [-(pi + 1), pi + 1] from rng seed 0."""
+def plain_negative_root(alpha, pi, psi):
+    """The negative consensus root at one level, or None: [-max(50, 2 pi),
+    -1e-8] bisected by scalar calls."""
+    r = ScalarReduced(alpha=alpha, pi=pi)
+    gap = lambda e: float(consensus_gap(r, e, psi))
+    lo, hi = -max(50.0, 2.0 * pi), -1e-8
+    flo = gap(lo)
+    return plain_bisect(gap, lo, hi, flo) if flo * gap(hi) < 0.0 else None
+
+
+def consensus_grid(pi):
+    """+c and -c for each c > 0 of linspace(0, pi + 1, 11), in that order."""
+    return [x for c in np.linspace(0.0, pi + 1.0, 11)[1:] for x in (c, -c)]
+
+
+def seed_rows(s, scales):
+    """c * ones for each c of ``scales``, then six ``Generator.uniform``
+    rows on [-(pi + 1), pi + 1] from rng seed 0."""
     bound = s.pi + 1.0
-    scales = [0.0]
-    for c in np.linspace(0.0, bound, 11)[1:]:
-        scales += [c, -c]
+    uniform = np.random.default_rng(0).uniform(-bound, bound, (6, s.graph.n))
+    return np.vstack([np.outer(scales, np.ones(s.graph.n)), uniform])
+
+
+def plain_seeds(s):
+    """The seed rule at one level, in seed order: 0; then, with a shared
+    ratio, the positive consensus roots and the negative one, or else the
+    consensus grid; all times ones; then the uniform rows."""
     alpha = s.graph.alpha
+    if alpha is None:
+        return seed_rows(s, [0.0] + consensus_grid(s.pi))
+    negative = plain_negative_root(alpha, s.pi, s.psi)
+    return seed_rows(s, [0.0] + plain_consensus_roots(alpha, s.pi, s.psi)
+                     + ([] if negative is None else [negative]))
+
+
+def old_rule_seeds(s):
+    """The seed rule that ignored the invariant consensus line: 0, the
+    consensus grid, the positive consensus roots (each followed by its
+    negative when alpha = 0), all times ones; then the uniform rows."""
+    alpha = s.graph.alpha
+    scales = [0.0] + consensus_grid(s.pi)
     if alpha is not None:
         for root in plain_consensus_roots(alpha, s.pi, s.psi):
             scales += [root, -root] if alpha == 0.0 else [root]
-    uniform = np.random.default_rng(0).uniform(-bound, bound, (6, s.graph.n))
-    return np.vstack([np.outer(scales, np.ones(s.graph.n)), uniform])
+    return seed_rows(s, scales)
 
 
 @st.composite
@@ -299,12 +329,39 @@ def test_array_bisection_roots_equal_per_level_roots(case):
     alpha, levels = case
     psi = hd.tanh_family()
     assert pi1_star(alpha, psi) == plain_pi1_star(alpha, psi)
-    roots = equilibria._consensus_roots(alpha, np.array(levels), psi,
-                                        equilibria._fold_split(alpha, psi))
-    assert roots.shape == (len(levels), 2)
-    for pi, row in zip(levels, roots):
+    roots = equilibria._consensus_roots(alpha, np.array(levels), psi)
+    assert roots.shape == (len(levels), 3)
+    for pi, row in zip(levels, roots[:, :2]):
         per_level = consensus_roots(ScalarReduced(alpha=alpha, pi=pi), psi)
         assert row[~np.isnan(row)].tolist() == per_level == plain_consensus_roots(alpha, pi, psi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=ratios_and_levels())
+@example(case=(0.0, [0.5, 1.0, 1.0 + 1e-15, 1.7, 60.0, 1e13]))
+@example(case=(1.0, [1.9, 2.0, 2.0 + 1e-9, 2.005, 2.5, 1e13]))
+def test_negative_root_column_is_the_plain_bisection(case):
+    # bitwise the scalar loop on [-max(50, 2 pi), -1e-8]; and, by a dense
+    # sample of the balance on that bracket, which shares no code with the
+    # bisection, the balance changes sign there at most once, and does so
+    # exactly when pi > 1 + alpha, up to the bracket's end at -1e-8 (where
+    # the gap is about 1e-8 ((1 + alpha) (1 + alpha 1e-8) - pi))
+    alpha, levels = case
+    psi = hd.tanh_family()
+    column = equilibria._consensus_roots(alpha, np.array(levels), psi)[:, 2]
+    for pi, root in zip(levels, column.tolist()):
+        plain = plain_negative_root(alpha, pi, psi)
+        assert np.isnan(root) if plain is None else root == plain
+        c = -np.geomspace(max(50.0, 2.0 * pi), 1e-8, 4001)
+        t = np.tanh(c)
+        gap = -(1.0 + alpha) * c + pi * (t + alpha * t * t)
+        signs = np.sign(gap[gap != 0.0])
+        changes = np.count_nonzero(signs[:-1] != signs[1:])
+        assert changes == (plain is not None)
+        if pi <= 1.0 + alpha:
+            assert changes == 0
+        elif pi > (1.0 + alpha) * (1.0 + 2e-8 * alpha + 1e-12):
+            assert changes == 1
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -330,6 +387,26 @@ def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
         assert sizes == [len(p) for p in plain]
         assert seeds.shape == (sum(sizes), g.n)
         assert seeds.tobytes() == np.vstack(plain).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=instances(),
+       grid=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=5, unique=True).map(sorted))
+@example(g=hd.random_instance(5, 0.8, 0.2, 0.0, 3), grid=[0.5, 1.0, 1.5, 2.5, 4.0])
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), grid=[1.0, 1.7, 2.0, 2.005, 2.5])
+def test_root_seeds_find_what_the_grid_seeds_found(g, grid):
+    # with a shared ratio the consensus line holds only the origin and the
+    # roots of the scalar balance, so seeding it with the roots finds what
+    # the old rule's 20-point grid found: the same count, labels and
+    # consensus flags, and states equal by the search's own test
+    psi = hd.tanh_family()
+    for pi, eqs in zip(grid, _search_grid(g, psi, grid)):
+        seeds = old_rule_seeds(SystemInstance(g, psi, pi))
+        old = equilibria._search_chunk(g, psi, np.array([pi]), np.array([len(seeds)]), seeds)[0]
+        assert [(eq.classification, eq.is_consensus) for eq in eqs] == \
+            [(eq.classification, eq.is_consensus) for eq in old]
+        for a, b in zip(eqs, old):
+            assert equilibria._same_equilibrium(a.state, b.state)
 
 
 def sequential_newton_rows(s, X0, pi, log=None):
@@ -406,13 +483,13 @@ def rounded_tanh(quantum):
 
 def line_search_case(g, quantum, seed, m, seed_rule):
     """The system and the starts (X0, levels): m uniform rows on [-3, 3]^n
-    at uniform levels on [0.2, 5], after the seed rule's stack at the first
-    level when ``seed_rule``."""
+    at uniform levels on [0.2, 5], after the old seed rule's stack at the
+    first level when ``seed_rule``."""
     rng = np.random.default_rng(seed)
     X0, levels = rng.uniform(-3.0, 3.0, (m, g.n)), rng.uniform(0.2, 5.0, m)
     s = SystemInstance(graph=g, psi=rounded_tanh(quantum), pi=float(levels[0]))
     if seed_rule:
-        seeds = plain_seeds(SystemInstance(g, hd.tanh_family(), s.pi))
+        seeds = old_rule_seeds(SystemInstance(g, hd.tanh_family(), s.pi))
         X0, levels = np.vstack([seeds, X0]), np.concatenate([np.full(len(seeds), s.pi), levels])
     return s, X0, levels
 
