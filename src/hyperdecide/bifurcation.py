@@ -23,8 +23,8 @@ from .nonlinearity import SigmoidFamily, tanh_family
 # by these names
 from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
 from .equilibria import (ScalarReduced, _chunks, _classify_rows, _newton_raw, _newton_rows,
-                         _same_equilibrium, _search_grid, _solve_rows, classify, consensus_roots,
-                         find_all, pi1_star)
+                         _blas_pin, _same_equilibrium, _search_grid, _solve_rows, classify,
+                         consensus_roots, find_all, pi1_star)
 from .spectra import thresholds
 
 __all__ = [
@@ -137,6 +137,7 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
     return SweepResult(grid=grid, branches=branches, bistability=bistability)
 
 
+@_blas_pin
 def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
     """Continue every record below the last level one level up: a step from
     x at level a to b predicts x + (b - a) dx/dpi, dx/dpi = -J^-1 (D x / pi)
@@ -147,7 +148,8 @@ def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
     the sup distance of that step's prediction to it. A state that matches
     no record is a search miss, kept as a record (``recs``, ``at``) and
     continued. A round runs one Newton stack per ``_chunks`` range of its
-    steps, and one for the steps back."""
+    steps, and one for the steps back, in turn, with BLAS on one thread
+    (``_blas_pin``)."""
     g, psi = s.graph, s.psi
     nxt, near = {}, {}
     # steps: (record, state, level from, level to, index of the next grid level)

@@ -5,7 +5,9 @@ normal-form. Each option is declared once, in ``_COMMANDS``; its flag, config
 key, default and valid range all come from there. A run that succeeds ends
 by writing a manifest (sorted key=value lines of the fully resolved
 configuration) into the output directory; all CSV output is byte-identical
-for a fixed manifest and BLAS thread count (threads move a solve's last bits).
+for a fixed manifest. Equilibrium searches and sweeps pin numpy's OpenBLAS
+to one thread; where no pin symbol is found, the BLAS thread count can move
+a solve's last bits.
 
 Configuration precedence: explicit flags, then --config file entries,
 then built-in defaults. The output directory comes from --out-dir, the

@@ -25,15 +25,27 @@ negative, which are every consensus equilibrium but the origin. Without one
 they are c * ones for c in +-linspace(0, pi + 1, 11). The roots of all
 levels come from one array bisection, each element following the scalar
 loop, so every level's seed count is known before any stack exists; each
-chunk's seeds are built in one pass, bitwise the per-level rule. Two states
+chunk's seeds are built in one pass, bitwise the per-level rule. Where
+every chunk is a single level (one level's stack alone fills the budget,
+as at n = 120) and at least two CPUs are usable, the chunks run on that
+many threads, at most one per chunk: their n^2 and n^3 kernels release the
+GIL. A search runs with numpy's OpenBLAS pinned to one thread through
+``ctypes`` (``_blas_pin``), so its bytes do not depend on the caller's BLAS
+thread count; where no pin symbol is found the search stays serial and the
+last bits of a solve may follow that count. Two states
 are the same equilibrium when they lie within sup distance
 max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
 (``_same_equilibrium``); the sweep's threading uses the same test.
 """
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import io
 import math
+import os
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -84,7 +96,8 @@ _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 # rows * n^2 of one Newton stack of a grid search: about 440 levels of 7 to
 # 9 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
-# at n = 120, where one bigger stack ran slower
+# at n = 120, where one bigger stack ran slower. One-level chunks run on
+# threads, so peak memory grows by about one chunk's stack per extra worker.
 _STACK_BUDGET = 100_000
 # The line search's damping factors 1/2, 1/4, ..., 2^-29, tried in blocks
 # of 1, 2, 4, 8 and 14 factors, each block one field call. Small blocks
@@ -92,6 +105,10 @@ _STACK_BUDGET = 100_000
 # of the rows that search accept 1/2 and 67 % accept by 1/8. The rest
 # spread thinly down to 2^-29, which a row now reaches in five calls, not 29.
 _LINE_BLOCKS = tuple(np.split(0.5 ** np.arange(1, 30), [1, 3, 7, 15]))
+# the get and set functions of OpenBLAS's thread count, by build
+_BLAS_SYMBOLS = (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                 ("openblas_get_num_threads", "openblas_set_num_threads"),
+                 ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
 
 
 @dataclass(frozen=True)
@@ -241,6 +258,59 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
         eps_star = _bisect(lambda e, rows: tangency(e), lo, [_ROOT_EPS_MAX], flo)
     level = (1.0 + alpha) * eps_star / h(eps_star)
     return float(level[0]), float(eps_star[0])
+
+
+class _BlasPin(ContextDecorator):
+    """numpy's bundled OpenBLAS (``numpy.libs/*openblas*``) on one thread
+    while the body runs, so a solve's last bits do not depend on the
+    caller's BLAS thread count; entering returns whether it could. The
+    library and its ``_BLAS_SYMBOLS`` are looked up on first use. Entries
+    may nest and overlap across threads: the first sets one thread, and the
+    last to leave restores the caller's count. Without a library or symbol
+    the body runs unpinned."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._threads = None  # (get, set), () where none was found
+        self._depth = 0
+        self._saved = 1
+
+    def _lookup(self) -> tuple:
+        libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+        names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+        for name in (name for name in names if "openblas" in name):
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+            except OSError:
+                continue
+            for get, put in _BLAS_SYMBOLS:
+                if hasattr(lib, get) and hasattr(lib, put):
+                    get, put = getattr(lib, get), getattr(lib, put)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+        return ()
+
+    def __enter__(self) -> bool:
+        with self._lock:
+            if self._threads is None:
+                self._threads = self._lookup()
+            if self._threads:
+                if not self._depth:
+                    self._saved = self._threads[0]()
+                    self._threads[1](1)
+                self._depth += 1
+            return bool(self._threads)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            if self._threads:
+                self._depth -= 1
+                if not self._depth:
+                    self._threads[1](self._saved)
+
+
+_blas_pin = _BlasPin()
 
 
 def _solve_rows(j: np.ndarray, rhs: np.ndarray):
@@ -431,7 +501,13 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     consensus seeds of all levels come first: with a shared ratio the roots
     of one bisection, else the grid. Their counts give every level's seed
     count, by which ``_chunks`` groups the levels; a chunk's seed stack is
-    built when the chunk runs (``_search_chunk``)."""
+    built when the chunk runs (``_search_chunk``). The search holds BLAS at
+    one thread (``_blas_pin``). When that pin is available, there are at
+    least two chunks, each of one level, and at least two CPUs are usable,
+    the chunks run on min(CPUs, chunks) threads (``_run_chunks``), with
+    the serial loop's results and errors; otherwise they run in turn.
+    Many-level chunks spend their time in per-level Python bookkeeping,
+    which threads do not speed up."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
@@ -448,10 +524,60 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
         scales = _consensus_roots(g.alpha, pis, psi)
     sizes = 1 + np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
     uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
-    out: list[list[Equilibrium]] = []
-    for a, b in _chunks(sizes, g.n):
-        out += _search_chunk(g, psi, pis[a:b], sizes[a:b],
+    chunks = list(_chunks(sizes, g.n))
+
+    def run(a, b):
+        return _search_chunk(g, psi, pis[a:b], sizes[a:b],
                              _seed_stack(pis[a:b], scales[a:b], uniform))
+
+    with _blas_pin as pinned:
+        workers = min(_usable_cpus(), len(chunks)) if pinned and len(chunks) == pis.size else 1
+        parts = _run_chunks(run, chunks, workers)
+    return [eqs for part in parts for eqs in part]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_chunks(run, chunks: list, workers: int) -> list:
+    """``run(a, b)`` for every chunk (a, b) of ``chunks``, the results in
+    chunk order: in turn, or on ``workers`` threads when that is at least 2.
+    A thread takes the next chunk index from a shared counter and runs the
+    chunk in a copy of the caller's context (numpy's errstate lives there).
+    Once a chunk raises, no chunk after it starts; all threads are joined,
+    and the error of the first failing chunk in chunk order is raised, the
+    one the loop in turn raises."""
+    if workers < 2:
+        return [run(a, b) for a, b in chunks]
+    out: list = [None] * len(chunks)
+    errors: dict = {}
+    lock = threading.Lock()
+    order = iter(range(len(chunks)))
+    caller = contextvars.copy_context()
+
+    def work():
+        while True:
+            with lock:
+                i = next(order, None)
+                if i is None or (errors and i > min(errors)):
+                    return
+            try:
+                out[i] = caller.copy().run(run, *chunks[i])
+            except BaseException as exc:  # raised in the caller below
+                with lock:
+                    errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
     return out
 
 

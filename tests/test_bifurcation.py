@@ -1,6 +1,10 @@
 import contextlib
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +226,32 @@ def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
     chunked = diagram_csv(sweep(inst5, tanh, grid))
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
     assert diagram_csv(sweep(inst5, tanh, grid)) == chunked
+
+
+BLAS_SWEEP = """
+import hyperdecide as hd
+g = hd.random_instance(100, 0.1, 0.02, 1.0, 1)
+print(hd.diagram_csv(hd.sweep(g, hd.tanh_family(), [3.0, 4.0])), end="")
+"""
+
+
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count():
+    # from n = 100 on OpenBLAS splits a solve over its threads and the last
+    # bits move: unpinned, 2 of this diagram's 8 rows differ, by up to
+    # 8.5e-16; the search and the threading pin BLAS to one thread
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    if not any("openblas" in p.name for p in libs.glob("*")):
+        pytest.skip("numpy bundles no OpenBLAS")
+    src = Path(hd.__file__).resolve().parents[1]
+    diagrams = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", BLAS_SWEEP], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        diagrams.append(proc.stdout)
+    assert diagrams[0].count("\n") > 1
+    assert diagrams[0] == diagrams[1]
 
 
 def test_bistability_interval_values(inst5, tanh):

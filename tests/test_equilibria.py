@@ -5,6 +5,9 @@ bracketing plus bisection, cross-checked with mpmath at 50 digits) before
 this module existed; the suite re-derives several of them at run time with
 scipy.optimize.brentq as a second opinion.
 """
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -427,7 +430,7 @@ def test_chunks_cover_the_grid_in_whole_levels_within_the_budget():
 
 def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     # lazy: a chunk's seed stack is built right before that chunk is
-    # searched, so at most one stack is held at a time
+    # searched, so each worker holds at most one stack at a time
     events, rows = [], []
     seed_stack = equilibria._seed_stack
 
@@ -454,6 +457,146 @@ def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     assert rows == [7] * 288 + [9] * 111 + [8] + [9] * 600
     # 508 levels fill 3 995 of the 4 000 rows, then 444 of 9 and 48 of 9
     assert events == [(kind, k) for k in (508, 444, 48) for kind in ("build", "search")]
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """One level per chunk on two worker threads; skipped where numpy's
+    BLAS cannot be pinned to one thread, since the search then stays serial."""
+    with equilibria._blas_pin as pinned:
+        if not pinned:
+            pytest.skip("no OpenBLAS thread-count symbol: the grid search runs serially")
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
+    monkeypatch.setattr(equilibria, "_usable_cpus", lambda: 2)
+
+
+GRID4 = [1.0, 1.5, 2.0, 2.5]
+
+
+def failing_chunks(monkeypatch, fail):
+    """Patch ``_search_chunk`` of the grid ``GRID4``: chunk 0 waits until
+    chunk 1 is done, and each chunk in ``fail`` raises ValueError naming
+    itself. Returns the indices of the chunks that started."""
+    started, one_done = [], threading.Event()
+
+    def chunk(g, psi, pis, sizes, seeds):
+        i = GRID4.index(pis[0])
+        started.append(i)
+        if i == 0:
+            assert one_done.wait(timeout=30), "chunk 1 did not run alongside chunk 0"
+        if i == 1:
+            one_done.set()
+        if i in fail:
+            raise ValueError(f"chunk {i}")
+        return [[] for _ in pis]
+
+    monkeypatch.setattr(equilibria, "_search_chunk", chunk)
+    return started
+
+
+@pytest.mark.parametrize("fail, first", [({1}, 1), ({0, 1}, 0), ({1, 3}, 1)])
+def test_threaded_chunks_raise_the_first_failing_chunk_in_chunk_order(inst5, tanh, threaded,
+                                                                      monkeypatch, fail, first):
+    # chunk 1 raises while chunk 0 still runs: no later chunk starts, every
+    # thread is joined, and the error is the one a serial loop would raise,
+    # even where chunk 0 raises after chunk 1
+    started = failing_chunks(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=f"^chunk {first}$"):
+        equilibria._search_grid(inst5, tanh, GRID4)
+    assert threading.active_count() == before
+    assert sorted(started) == [0, 1]
+
+
+def test_threaded_chunks_are_all_joined(inst5, tanh, threaded, monkeypatch):
+    started = failing_chunks(monkeypatch, {})
+    before = threading.active_count()
+    assert equilibria._search_grid(inst5, tanh, GRID4) == [[]] * 4
+    assert threading.active_count() == before
+    assert sorted(started) == [0, 1, 2, 3]
+
+
+def test_threaded_chunks_run_under_the_callers_errstate(inst5, tanh, threaded, monkeypatch):
+    # numpy keeps errstate in a context variable, which a new thread would
+    # not see; each chunk runs in a copy of the caller's context
+    seen = []
+
+    def chunk(g, psi, pis, sizes, seeds):
+        seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+        return [[] for _ in pis]
+
+    monkeypatch.setattr(equilibria, "_search_chunk", chunk)
+    with np.errstate(over="raise", divide="warn", invalid="ignore", under="call"):
+        caller = np.geterr()
+        equilibria._search_grid(inst5, tanh, GRID4)
+    assert caller != np.geterr()
+    assert seen == [(False, caller)] * 4
+
+
+def test_chunk_threads_and_pins_under_a_short_switch_interval():
+    # more workers than cores, switching threads every microsecond: each
+    # chunk runs once and lands at its index, and the pin's depth count
+    # loses no entry, so the last to leave restores the caller's count
+    with equilibria._blas_pin as pinned:
+        pass
+    count = equilibria._blas_pin._threads[0]() if pinned else None
+    ran = []
+
+    def run(a, b):
+        with equilibria._blas_pin:
+            ran.append(a)
+        return (a, b)
+
+    chunks = [(k, k + 1) for k in range(300)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            before = threading.active_count()
+            assert equilibria._run_chunks(run, chunks, 8) == chunks
+            assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == sorted(list(range(300)) * 5)
+    if pinned:
+        assert equilibria._blas_pin._depth == 0
+        assert equilibria._blas_pin._threads[0]() == count
+
+
+def test_blas_pin_nests_and_restores_the_callers_thread_count():
+    with equilibria._blas_pin as pinned:
+        pass
+    if not pinned:
+        pytest.skip("no OpenBLAS thread-count symbol")
+    get, put = equilibria._blas_pin._threads
+    before = get()
+    put(2)
+    try:
+        with equilibria._blas_pin:
+            assert get() == 1
+            with equilibria._blas_pin:
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        # overlapping entries from two threads: the last to leave restores
+        inside, leave = threading.Event(), threading.Event()
+
+        def hold():
+            with equilibria._blas_pin:
+                inside.set()
+                leave.wait(timeout=30)
+
+        worker = threading.Thread(target=hold)
+        with equilibria._blas_pin:
+            worker.start()
+            assert inside.wait(timeout=30)
+        assert get() == 1
+        leave.set()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert get() == 2
+    finally:
+        put(before)
 
 
 _BUMP = lambda x: np.exp(-4.0 * np.asarray(x, dtype=float) ** 2)

@@ -4,6 +4,7 @@ Each test draws 2 to 8 agents, a pairwise density, a triple density, a
 shared ratio (0 for two agents, which have no admissible triples) and a
 seed, with a fixed example sequence so every run checks the same draws.
 """
+import threading
 from unittest import mock
 
 import numpy as np
@@ -211,6 +212,32 @@ def test_grid_search_levels_equal_find_all(g, grid, budget):
         assert _records(eqs) == _records(find_all(SystemInstance(g, psi, pi)))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(g=ratio_instances(),
+       grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=8, unique=True).map(sorted))
+def test_threaded_grid_search_equals_the_serial_one(g, grid):
+    # bitwise: one level per chunk, on three worker threads (where BLAS can
+    # be pinned to one thread) against one CPU
+    psi = hd.tanh_family()
+    search_chunk, off_main = equilibria._search_chunk, []
+    with equilibria._blas_pin as pinned:
+        pass
+
+    def chunk(*args):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return search_chunk(*args)
+
+    with mock.patch.object(equilibria, "_STACK_BUDGET", 1), \
+            mock.patch.object(equilibria, "_search_chunk", chunk):
+        with mock.patch.object(equilibria, "_usable_cpus", lambda: 3):
+            threaded = _search_grid(g, psi, grid)
+        assert off_main == [pinned] * len(grid)
+        with mock.patch.object(equilibria, "_usable_cpus", lambda: 1):
+            serial = _search_grid(g, psi, grid)
+    assert not any(off_main[len(grid):])
+    assert [_records(eqs) for eqs in threaded] == [_records(eqs) for eqs in serial]
+
+
 def plain_bisect(fn, lo, hi, flo):
     """A plain scalar bisection to 1e-12 in at most 200 halvings."""
     for _ in range(200):
@@ -370,7 +397,9 @@ def test_negative_root_column_is_the_plain_bisection(case):
                      max_size=40, unique=True).map(sorted),
        budget=st.sampled_from([1, 2_000, 5_000, 100_000]))
 def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
-    # bitwise, chunk by chunk, with every level's row count
+    # bitwise, chunk by chunk, with every level's row count; one-level
+    # chunks may run on threads and finish in any order, so the chunks are
+    # compared in the order of their levels
     psi = hd.tanh_family()
     chunks = []
 
@@ -381,6 +410,7 @@ def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
     with mock.patch.object(equilibria, "_STACK_BUDGET", budget), \
             mock.patch.object(equilibria, "_search_chunk", record):
         _search_grid(g, psi, grid)
+    chunks.sort(key=lambda chunk: chunk[0][0])
     assert [pi for pis, _, _ in chunks for pi in pis] == grid
     for pis, sizes, seeds in chunks:
         plain = [plain_seeds(SystemInstance(g, psi, pi)) for pi in pis]
