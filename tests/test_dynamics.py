@@ -117,11 +117,11 @@ def test_integrate_refuses_a_step_count_past_the_cap(inst5, tanh, monkeypatch):
     s = _sys(inst5, 1.7, tanh)
     calls = []
 
-    def still(s_, x):
+    def still(g, psi, pi, x):
         calls.append(x)
         return np.zeros_like(x)
 
-    monkeypatch.setattr(dynamics, "vector_field", still)
+    monkeypatch.setattr(dynamics, "_field", still)
     cap = dynamics._MAX_RK4_STEPS
     with pytest.raises(ValueError, match=f"gives {cap + 1} steps; at most {cap} are allowed"):
         integrate(s, np.zeros(5), dt=1.0, t_max=cap + 1.0)
@@ -130,6 +130,32 @@ def test_integrate_refuses_a_step_count_past_the_cap(inst5, tanh, monkeypatch):
     assert not calls
     # the cap itself runs; a still field stops it at step 0
     assert integrate(s, np.zeros(5), dt=1.0, t_max=float(cap)).states.shape == (1, 5)
+    assert len(calls) == 1
+
+
+def test_rk4_field_calls_are_four_per_step_plus_one(inst5, tanh, monkeypatch):
+    # the deterministic work count: four stages a step and one final
+    # residual, whatever the number of rows
+    s = _sys(inst5, 1.7, tanh)
+    calls = []
+    field = dynamics._field
+
+    def counted(g, psi, pi, x):
+        calls.append(x.shape)
+        return field(g, psi, pi, x)
+
+    monkeypatch.setattr(dynamics, "_field", counted)
+    traj = integrate(s, 0.3 * np.ones(5), t_max=1.0)
+    assert not traj.converged and traj.times.size == 101
+    assert len(calls) == 4 * 100 + 1
+    calls.clear()
+    stack = _rk4_rows(s, np.outer([0.3, 0.5], np.ones(5)), t_max=1.0)
+    assert [t.times.size for t in stack] == [101, 101]
+    assert not any(t.converged for t in stack)
+    assert len(calls) == 401 and set(calls) == {(2, 5)}
+    calls.clear()
+    # the origin is stationary: its residual at step 0 stops the run
+    assert integrate(s, np.zeros(5)).states.shape == (1, 5)
     assert len(calls) == 1
 
 

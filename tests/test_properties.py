@@ -83,6 +83,13 @@ def test_stacked_rows_equal_one_row_calls(g, pi, seed, m):
         for height in range(1, m + 1):
             stacked = fn(rows[:height])
             assert all(np.array_equal(stacked[r], alone[r]) for r in range(height))
+    # the RK4 stages' call: a 0-d effort, and for one row the .dot branch,
+    # against the public field's stacked matmul rows
+    for height in range(1, m + 1):
+        stacked = vector_field(s, X[:height])
+        assert np.array_equal(_field(g, s.psi, np.array(pi), X[:height]), stacked)
+        assert all(np.array_equal(_field(g, s.psi, np.array(pi), X[r]), stacked[r])
+                   for r in range(height))
 
 
 # transmission that turns NaN past |x| = 1: a row heading there blows up
