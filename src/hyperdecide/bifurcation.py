@@ -147,16 +147,20 @@ def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
     each record's last step matches (``_same_equilibrium``), and ``near``,
     the sup distance of that step's prediction to it. A state that matches
     no record is a search miss, kept as a record (``recs``, ``at``) and
-    continued. A round runs one Newton stack per ``_chunks`` range of its
-    steps, and one for the steps back, in turn, with BLAS on one thread
-    (``_blas_pin``)."""
+    continued. The origin, whose tangent is +-0, lands on the next level's
+    first record, the origin, at distance 0.0 without a step. A round runs
+    one Newton stack per ``_chunks`` range of its steps, and one for the
+    steps back, in turn, with BLAS on one thread (``_blas_pin``)."""
     g, psi = s.graph, s.psi
     nxt, near = {}, {}
     # steps: (record, state, level from, level to, index of the next grid level)
     todo, fresh = [], [(r, k) for k, ids in enumerate(at) for r in ids]
     while todo or fresh:
-        todo += [(q, recs[q].state, grid[t], grid[t + 1], t + 1)
-                 for q, t in fresh if t + 1 < grid.size]
+        for q, t in (w for w in fresh if w[1] + 1 < grid.size):
+            if recs[q].state.any():
+                todo.append((q, recs[q].state, grid[t], grid[t + 1], t + 1))
+            else:
+                nxt[q], near[q] = at[t + 1][0], 0.0
         pending, arrived, fresh = [], [], []
         for a, b in _chunks(np.ones(len(todo), dtype=int), g.n):
             part = todo[a:b]

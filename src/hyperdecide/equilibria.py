@@ -16,13 +16,16 @@ General equilibria are found by damped Newton (``_newton_rows``) from one
 fixed seed rule and classified by the spectrum of the Jacobian. The seeds of
 many levels advance together as one (m, n) stack, each row at its own level:
 a grid search runs chunks of whole levels of at most 1e5 / n^2 rows, and
-``find_all`` is its one-level case. The seeds are 0 * ones, the consensus
-seeds and six uniform draws on [-(pi + 1), pi + 1]^n from rng seed 0. With a
-shared ratio the field at c * ones and the Jacobian's image of ones are
-multiples of the degree vector, so Newton from c * ones stays on the
-consensus line: the consensus seeds are the lifted roots, positive and
-negative, which are every consensus equilibrium but the origin. Without one
-they are c * ones for c in +-linspace(0, pi + 1, 11). The roots of all
+``find_all`` is its one-level case. Below effort 1 the origin is the only
+equilibrium, so no level there is searched (``_search_grid``), and a zero
+seed takes no Newton step: its outcome, +0.0 at residual 0, is known. The
+seeds are 0 * ones, the consensus seeds and six uniform draws on
+[-(pi + 1), pi + 1]^n from rng seed 0. With a shared ratio the field at
+c * ones and the Jacobian's image of ones are multiples of the degree
+vector, so Newton from c * ones stays on the consensus line: the consensus
+seeds are the lifted roots, positive and negative, which are every
+consensus equilibrium but the origin. Without one they are c * ones for c
+in +-linspace(0, pi + 1, 11). The roots of all
 levels come from one array bisection, each element following the scalar
 loop, so every level's seed count is known before any stack exists; each
 chunk's seeds are built in one pass, bitwise the per-level rule. Where
@@ -497,17 +500,18 @@ def _chunks(sizes, n: int):
 def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equilibrium]]:
     """The global search at every effort level of ``levels``, level by level
     the list ``find_all`` gives there. ValueError, before any level is
-    searched, when ``psi`` fails a clause of ``verify_assumptions``. The
-    consensus seeds of all levels come first: with a shared ratio the roots
-    of one bisection, else the grid. Their counts give every level's seed
-    count, by which ``_chunks`` groups the levels; a chunk's seed stack is
-    built when the chunk runs (``_search_chunk``). The search holds BLAS at
-    one thread (``_blas_pin``). When that pin is available, there are at
-    least two chunks, each of one level, and at least two CPUs are usable,
-    the chunks run on min(CPUs, chunks) threads (``_run_chunks``), with
-    the serial loop's results and errors; otherwise they run in turn.
-    Many-level chunks spend their time in per-level Python bookkeeping,
-    which threads do not speed up."""
+    searched, when ``psi`` fails a clause of ``verify_assumptions``. Every
+    level below 1 gets the zero seed's record alone, as a search there
+    would, all classified at once. The levels from 1 on are searched, their
+    consensus seeds first: with a shared ratio the roots of one bisection,
+    else the grid. Their counts give every level's seed count, by which
+    ``_chunks`` groups the levels; a chunk's seed stack is built when the
+    chunk runs (``_search_chunk``). The search holds BLAS at one thread
+    (``_blas_pin``). When that pin is available, there are at least two
+    chunks, each of one level, and at least two CPUs are usable, the chunks
+    run on min(CPUs, chunks) threads (``_run_chunks``), with the serial
+    loop's results and errors; otherwise they run in turn, as threads did
+    not speed up many-level chunks."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
@@ -517,9 +521,17 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
         return []
     for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
         SystemInstance(graph=g, psi=psi, pi=float(pi))
+    # Below effort 1 the origin is the only equilibrium: at an equilibrium
+    # d_i x_i = pi G_i(x), and |psi(s)| <= min(|s|, 1) bounds each term of
+    # G_i by its weight times |x|_inf, so d_i |x_i| <= pi d_i |x|_inf, which
+    # at the largest |x_i| leaves x = 0 when pi < 1.
+    low = pis < 1.0
+    zeros = np.zeros((np.count_nonzero(low), g.n))
+    origins = iter(_classify_rows(g, psi, pis[low].tolist(), zeros, zeros[:, 0]))
+    pis = pis[~low]
     if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
         c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
-        scales = np.stack([c, -c], axis=2).reshape(pis.size, -1)
+        scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
     else:
         scales = _consensus_roots(g.alpha, pis, psi)
     sizes = 1 + np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
@@ -533,7 +545,8 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     with _blas_pin as pinned:
         workers = min(_usable_cpus(), len(chunks)) if pinned and len(chunks) == pis.size else 1
         parts = _run_chunks(run, chunks, workers)
-    return [eqs for part in parts for eqs in part]
+    searched = (eqs for part in parts for eqs in part)
+    return [[next(origins)] if below else next(searched) for below in low.tolist()]
 
 
 def _usable_cpus() -> int:
@@ -585,24 +598,31 @@ def _search_chunk(g: Hypergraph2, psi: SigmoidFamily, pis: np.ndarray, sizes,
                   seeds: np.ndarray) -> list[list[Equilibrium]]:
     """The global search from the seed stack ``seeds``, which holds
     ``sizes[l]`` rows at level ``pis[l]`` for each level in turn: one Newton
-    stack, each row at its own level; each level deduplicated in seed order
-    by ``_same_equilibrium`` and sorted by sup norm; the whole chunk
-    classified at once."""
+    stack of the rows that are not +0.0, each row at its own level; each
+    level deduplicated in seed order by ``_same_equilibrium`` and sorted by
+    sup norm, then by the components, all levels in one array pass; the
+    whole chunk classified at once."""
     s = SystemInstance(graph=g, psi=psi, pi=float(pis[0]))
-    xs, ress, causes = _newton_rows(s, seeds, np.repeat(pis, sizes))
-    kept, counts, start = [], [], 0
-    for size in sizes:
-        rows = start + np.flatnonzero(causes[start:start + size] == "converged")
-        found = []
-        # keep the first row left, drop every row equal to it: the rows a
-        # scan in seed order keeps, each against the states kept before
-        while rows.size:
-            found.append(rows[0])
-            rows = rows[~_same_equilibrium(xs[rows], xs[rows[0]])]
-        found.sort(key=lambda i: (float(np.abs(xs[i]).max()), tuple(xs[i])))
-        kept += found
-        counts.append(len(found))
-        start += size
+    levels = np.repeat(np.arange(pis.size), sizes)
+    # Newton leaves a seed of +0.0 where it is, converged at residual 0: the
+    # field there is +0.0, and its solve gives +-0, which moves no component
+    xs, ress = np.array(seeds, dtype=float), np.zeros(len(seeds))
+    causes = np.full(len(seeds), "converged", dtype=object)
+    rest = np.flatnonzero(np.signbit(xs).any(axis=1) | xs.any(axis=1))
+    xs[rest], ress[rest], causes[rest] = _newton_rows(s, xs[rest], pis[levels[rest]])
+    # (L, K) table of each level's seed rows, padded with -1: row j of a
+    # level is kept when it converged and matches no kept earlier row, the
+    # tolerance taken from the earlier one, as a scan in seed order keeps
+    table = np.full((pis.size, max(sizes)), -1)
+    table[np.arange(table.shape[1]) < np.reshape(sizes, (-1, 1))] = np.arange(len(xs))
+    keep = (causes[table] == "converged") & (table >= 0)
+    x = np.where(keep[..., None], xs[table], 0.0)
+    for j in range(1, table.shape[1]):
+        keep[:, j] &= ~(keep[:, :j] & _same_equilibrium(x[:, j, None], x[:, :j])).any(axis=1)
+    kept = table[keep]
+    # by level, then sup norm, then the components in turn; stable, as list.sort
+    kept = kept[np.lexsort([*xs[kept].T[::-1], np.abs(xs[kept]).max(axis=1), levels[kept]])]
+    counts = np.bincount(levels[kept], minlength=pis.size)
     eqs = _classify_rows(g, psi, np.repeat(pis, counts).tolist(), xs[kept], ress[kept])
     ends = np.cumsum(counts).tolist()
     return [eqs[a:b] for a, b in zip([0] + ends, ends)]
@@ -613,7 +633,8 @@ def find_all(s: SystemInstance) -> list[Equilibrium]:
     together as one stack, deduplicated in seed order by
     ``_same_equilibrium`` and sorted by sup norm: the one-level case of the
     grid search ``_search_grid``, which refuses a transmission family that
-    fails ``verify_assumptions``.
+    fails ``verify_assumptions``. Below effort 1 the result is the origin
+    alone, without a search.
     Seeds that diverge are dropped silently; reordering the seed stack cannot
     change the result beyond its guaranteed sorting."""
     return _search_grid(s.graph, s.psi, [s.pi])[0]

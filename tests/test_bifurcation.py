@@ -21,7 +21,7 @@ from hyperdecide.bifurcation import (
     write_diagram_svg,
 )
 from hyperdecide.dynamics import SystemInstance
-from hyperdecide import dynamics, equilibria
+from hyperdecide import bifurcation, dynamics, equilibria
 from hyperdecide.equilibria import ScalarReduced, pi1_star
 from hyperdecide.errors import DimensionError, NoBistabilityError
 
@@ -226,6 +226,36 @@ def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
     chunked = diagram_csv(sweep(inst5, tanh, grid))
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
     assert diagram_csv(sweep(inst5, tanh, grid)) == chunked
+
+
+def test_default_sweep_work_counts(inst5, tanh, monkeypatch):
+    # Newton rows of the grid search and continuation steps of the default
+    # inst5 sweep: the 199 levels below 1 are not searched, a zero seed takes
+    # no Newton, and the origin steps onto the next level's origin directly
+    rows, searching = {"search": 0, "step": 0}, []
+    search_grid, step = equilibria._search_grid, bifurcation._step
+    newton_rows = equilibria._newton_rows
+
+    def grid(*args):
+        searching.append(True)
+        try:
+            return search_grid(*args)
+        finally:
+            searching.pop()
+
+    def newton(s, X0, pi=None):
+        rows["search"] += len(X0) if searching else 0
+        return newton_rows(s, X0, pi)
+
+    def stepped(s, X, a, b):
+        rows["step"] += len(X)
+        return step(s, X, a, b)
+
+    monkeypatch.setattr(bifurcation, "_search_grid", grid)
+    monkeypatch.setattr(equilibria, "_newton_rows", newton)
+    monkeypatch.setattr(bifurcation, "_step", stepped)
+    sweep(inst5, tanh)
+    assert rows == {"search": 6229, "step": 2984}
 
 
 BLAS_SWEEP = """

@@ -448,15 +448,20 @@ def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     monkeypatch.setattr(equilibria, "_seed_stack", build)
     monkeypatch.setattr(equilibria, "_search_chunk", search)
     grid = 0.005 * np.arange(1, 1001)
-    assert len(equilibria._search_grid(inst5, tanh, grid)) == 1000
-    # 0 and the 6 uniform rows at the 288 levels below the fold level
-    # 1.4436; with both positive roots up to 1.995; with the upper root
-    # alone at 2 = 1 + alpha, where the lower root has met the origin and
-    # the negative root is not yet born; with the upper and the negative
-    # root from 2.005 on
-    assert rows == [7] * 288 + [9] * 111 + [8] + [9] * 600
-    # 508 levels fill 3 995 of the 4 000 rows, then 444 of 9 and 48 of 9
-    assert events == [(kind, k) for k in (508, 444, 48) for kind in ("build", "search")]
+    per_level = equilibria._search_grid(inst5, tanh, grid)
+    assert len(per_level) == 1000
+    # the 199 levels below 1 are not searched: the origin alone, as zeros
+    for pi, eqs in zip(grid[:199].tolist(), per_level[:199]):
+        assert [(eq.pi, eq.residual, eq.state.tobytes()) for eq in eqs] == \
+            [(pi, 0.0, np.zeros(5).tobytes())]
+    # 0 and the 6 uniform rows at the 89 searched levels below the fold
+    # level 1.4436; with both positive roots up to 1.995; with the upper
+    # root alone at 2 = 1 + alpha, where the lower root has met the origin
+    # and the negative root is not yet born; with the upper and the
+    # negative root from 2.005 on
+    assert rows == [7] * 89 + [9] * 111 + [8] + [9] * 600
+    # 464 levels fill 3 997 of the 4 000 rows, then the other 337
+    assert events == [(kind, k) for k in (464, 337) for kind in ("build", "search")]
 
 
 @pytest.fixture
@@ -468,6 +473,27 @@ def threaded(monkeypatch):
             pytest.skip("no OpenBLAS thread-count symbol: the grid search runs serially")
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
     monkeypatch.setattr(equilibria, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("budget", [1, 6 * 25])
+def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, monkeypatch,
+                                                          budget):
+    # the levels below 1 take no chunk: under a budget of one row per level
+    # or of 6 rows per chunk (n = 120's cap, which would pack one-row low
+    # levels into one chunk and turn the search serial) every level from 1
+    # on runs alone off the main thread
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", budget)
+    runs = []
+
+    def chunk(g, psi, pis, sizes, seeds):
+        runs.append((pis.tolist(), threading.current_thread() is threading.main_thread()))
+        return [[] for _ in pis]
+
+    monkeypatch.setattr(equilibria, "_search_chunk", chunk)
+    grid = hd.make_grid(0.25, 5.0, 0.25)
+    per_level = equilibria._search_grid(inst5, tanh, grid)
+    assert [len(eqs) for eqs in per_level] == [1] * 3 + [0] * 17
+    assert sorted(runs) == [([pi], False) for pi in grid[3:].tolist()]
 
 
 GRID4 = [1.0, 1.5, 2.0, 2.5]

@@ -15,7 +15,7 @@ import hyperdecide as hd
 from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian,
                                   _rk4_rows, integrate, jacobian, vector_field)
 from hyperdecide.errors import DivergenceError
-from hyperdecide import equilibria
+from hyperdecide import bifurcation, equilibria
 from hyperdecide.equilibria import (ScalarReduced, _newton_rows, _search_grid, consensus_gap,
                                     consensus_roots, find_all, pi1_star)
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
@@ -224,8 +224,10 @@ def test_grid_search_levels_equal_find_all(g, grid, budget):
        grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=8, unique=True).map(sorted))
 def test_threaded_grid_search_equals_the_serial_one(g, grid):
     # bitwise: one level per chunk, on three worker threads (where BLAS can
-    # be pinned to one thread) against one CPU
+    # be pinned to one thread) against one CPU; the levels below 1 are not
+    # searched, and a lone searched level runs on the caller's thread
     psi = hd.tanh_family()
+    searched = sum(pi >= 1.0 for pi in grid)
     search_chunk, off_main = equilibria._search_chunk, []
     with equilibria._blas_pin as pinned:
         pass
@@ -238,10 +240,10 @@ def test_threaded_grid_search_equals_the_serial_one(g, grid):
             mock.patch.object(equilibria, "_search_chunk", chunk):
         with mock.patch.object(equilibria, "_usable_cpus", lambda: 3):
             threaded = _search_grid(g, psi, grid)
-        assert off_main == [pinned] * len(grid)
+        assert off_main == [pinned and searched > 1] * searched
         with mock.patch.object(equilibria, "_usable_cpus", lambda: 1):
             serial = _search_grid(g, psi, grid)
-    assert not any(off_main[len(grid):])
+    assert not any(off_main[searched:])
     assert [_records(eqs) for eqs in threaded] == [_records(eqs) for eqs in serial]
 
 
@@ -418,7 +420,8 @@ def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
             mock.patch.object(equilibria, "_search_chunk", record):
         _search_grid(g, psi, grid)
     chunks.sort(key=lambda chunk: chunk[0][0])
-    assert [pi for pis, _, _ in chunks for pi in pis] == grid
+    # the levels below 1 are not searched
+    assert [pi for pis, _, _ in chunks for pi in pis] == [pi for pi in grid if pi >= 1.0]
     for pis, sizes, seeds in chunks:
         plain = [plain_seeds(SystemInstance(g, psi, pi)) for pi in pis]
         assert sizes == [len(p) for p in plain]
@@ -444,6 +447,137 @@ def test_root_seeds_find_what_the_grid_seeds_found(g, grid):
             [(eq.classification, eq.is_consensus) for eq in old]
         for a, b in zip(eqs, old):
             assert equilibria._same_equilibrium(a.state, b.state)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=ratio_instances(), weight=st.sampled_from([1.0, 1e-10]),
+       levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1,
+                       max_size=4))
+@example(g=hd.random_instance(5, 0.8, 0.2, 0.0, 3), weight=1e-10,
+         levels=[0.5, 0.9, 0.99, 0.999, 1.0 - 2.0 ** -52])
+@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), weight=1e-10, levels=[0.5, 0.9, 0.999])
+def test_levels_below_one_are_the_origin_alone(g, weight, levels):
+    # below effort 1 the search returns, bitwise, what Newton from the full
+    # seed stack of the level keeps: the origin alone, also where the
+    # weights are tiny and every residual is below the tolerance
+    g = hd.build(g.a2 * weight, g.b * weight)
+    psi = hd.tanh_family()
+    for pi in levels:
+        seeds = plain_seeds(SystemInstance(g, psi, pi))
+        searched = equilibria._search_chunk(g, psi, np.array([pi]), np.array([len(seeds)]),
+                                            seeds)[0]
+        assert _records(find_all(SystemInstance(g, psi, pi))) == _records(searched)
+        assert [eq.state.tobytes() for eq in searched] == [np.zeros(g.n).tobytes()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=ratio_instances(), levels=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
+def test_newton_leaves_the_zero_seed_in_place(g, levels):
+    # the outcome the search fills in for a zero seed without Newton, at
+    # drawn levels and at the origin's crossing pi1, where J(0) is singular
+    s = SystemInstance(g, hd.tanh_family(), 1.0)
+    levels = np.array(levels + [thresholds(g).pi1])
+    for rows in ([[r] for r in range(levels.size)], [list(range(levels.size))]):
+        for r in rows:
+            x, res, cause = _newton_rows(s, np.zeros((len(r), g.n)), levels[r])
+            assert x.tobytes() == np.zeros((len(r), g.n)).tobytes()  # +0.0, sign bits too
+            assert res.tobytes() == np.zeros(len(r)).tobytes()
+            assert cause.tolist() == ["converged"] * len(r)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(g=ratio_instances(),
+       grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=6, unique=True).map(sorted))
+def test_the_origin_steps_onto_itself(g, grid):
+    # the route the sweep no longer takes for the origin: its tangent step
+    # to the next level gives +0.0 there, the step back stands, and the
+    # prediction lies at distance 0.0; the origin's branch spans the grid
+    psi = hd.tanh_family()
+    s = SystemInstance(g, psi, grid[-1])
+    zero = np.zeros((1, g.n))
+    for a, b in zip(grid, grid[1:]):
+        y, _, pred, ok = bifurcation._step(s, zero, np.array([[a]]), np.array([[b]]))
+        assert ok.tolist() == [True] and y.tobytes() == zero.tobytes()
+        back, _, _, back_ok = bifurcation._step(s, y, np.array([[b]]), np.array([[a]]))
+        assert back_ok.tolist() == [True] and equilibria._same_equilibrium(back, zero).all()
+        assert np.abs(pred - zero).max() == 0.0
+    origin = hd.sweep(g, psi, grid).branches[0]
+    assert origin.pis().tolist() == grid
+    assert origin.states().tobytes() == np.zeros((len(grid), g.n)).tobytes()
+
+
+def seed_order_dedup(xs, causes, sizes):
+    """The kept rows of each level of a stack: the converged rows, the first
+    left kept and every row equal to it dropped, in seed order; sorted by
+    sup norm, then by the components."""
+    kept, start = [], 0
+    for size in sizes:
+        rows = start + np.flatnonzero(causes[start:start + size] == "converged")
+        found = []
+        while rows.size:
+            found.append(rows[0])
+            rows = rows[~equilibria._same_equilibrium(xs[rows], xs[rows[0]])]
+        found.sort(key=lambda i: (float(np.abs(xs[i]).max()), tuple(xs[i])))
+        kept.append(found)
+        start += size
+    return kept
+
+
+@st.composite
+def planted_stacks(draw):
+    """States of a stack of 1 to 5 levels at scale 1, 1e6 or 1e9, some
+    components +0.0 or -0.0, a fifth of the rows not converged, and about
+    half the rows copies of an earlier row of their level moved off it, in a
+    zero component, by the dedup threshold of that row or the next float
+    either side of it, and in the largest component by up to 4 ulps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, sizes = draw(st.integers(2, 4)), draw(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    xs = rng.uniform(-1.0, 1.0, (sum(sizes), n)) * draw(st.sampled_from([1.0, 1e6, 1e9]))
+    xs[rng.random(xs.shape) < 0.2] = 0.0
+    xs[rng.random(xs.shape) < 0.1] = -0.0
+    causes = np.where(rng.random(len(xs)) < 0.8, "converged", "diverged").astype(object)
+    start = 0
+    for size in sizes:
+        for j in range(start + 1, start + size):
+            if rng.random() < 0.5:
+                i = rng.integers(start, j)
+                big = int(np.abs(xs[i]).argmax())
+                k = (big + 1 + rng.integers(n - 1)) % n
+                xs[i, k] = rng.choice([0.0, -0.0])
+                thr = max(1e-6, 1e-12 * np.abs(xs[i]).max())
+                xs[j] = xs[i]
+                xs[j, k] = rng.choice([-1.0, 1.0]) * rng.choice(
+                    [np.nextafter(thr, 0.0), thr, np.nextafter(thr, np.inf)])
+                for _ in range(rng.integers(5)):
+                    xs[j, big] = np.nextafter(xs[j, big], rng.choice([-np.inf, np.inf]))
+        start += size
+    return xs, causes, sizes
+
+
+# the relative term decides: row 1 lies exactly at row 0's threshold, below
+# the threshold of its own, larger sup norm
+BOUNDARY = (np.array([[1e9, 0.0], [np.nextafter(np.nextafter(1e9, 2e9), 2e9), 1e-12 * 1e9]]),
+            np.array(["converged", "converged"], dtype=object), [2])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stack=planted_stacks())
+@example(stack=BOUNDARY)
+def test_chunk_dedup_equals_the_seed_order_scan(stack):
+    # the chunk's array pass keeps and orders, level by level, the rows the
+    # per-level scan keeps, with the tolerance of the earlier row
+    xs, causes, sizes = stack
+    g = hd.random_instance(xs.shape[1], 0.8, 0.5, 0.0, 0)
+    pis = 1.0 + np.arange(len(sizes))
+    newton = lambda s, X0, pi: (xs.copy(), np.zeros(len(xs)), causes)
+    classify = lambda g_, psi, levels, X, res: list(zip(levels, (x.tobytes() for x in X)))
+    with mock.patch.object(equilibria, "_newton_rows", newton), \
+            mock.patch.object(equilibria, "_classify_rows", classify):
+        # nonzero seeds: every row goes through the stand-in Newton
+        found = equilibria._search_chunk(g, hd.tanh_family(), pis, np.array(sizes),
+                                         np.ones_like(xs))
+    plain = seed_order_dedup(xs, causes, sizes)
+    assert found == [[(pi, xs[i].tobytes()) for i in rows] for pi, rows in zip(pis, plain)]
 
 
 def sequential_newton_rows(s, X0, pi, log=None):
