@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NewtonDivergence, NoBistabilityError, SingularJacobian
+from .errors import DimensionError, NoBistabilityError
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-# integrate and find_all are not called here; benchmarks/tracing.py binds them
-# by these names
+# integrate, find_all, classify and _newton_raw are not called here;
+# benchmarks/tracing.py binds them by these names
 from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
 from .equilibria import (ScalarReduced, _chunks, _classify_rows, _newton_raw, _newton_rows,
                          _blas_pin, _same_equilibrium, _search_grid, _solve_rows, classify,
@@ -204,12 +204,18 @@ def _step(s: SystemInstance, X: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def bistability_interval(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> tuple:
-    """Effort window with two coexisting stable states, verified by sampling.
+    """Effort window (pi1_star, pi1) in which the origin and the upper
+    consensus state c * ones, c the largest consensus root, are both stable;
+    NoBistabilityError for a zero ratio or an empty window.
 
-    Lower end is the fold level of the scalar consensus balance, upper end
-    the origin's stability loss. Five interior samples must show both the
-    origin and the lifted upper root stable, otherwise the window is
-    rejected.
+    The window is exact. At c * ones, c > 0, J = pi psi'(c) (A2 + 2 psi(c) M)
+    - D with M_ij = sum_k b_ijk is Metzler, its diagonal -d (no agent takes
+    part in its own ties), and the shared ratio gives J ones = gap'(c) A2
+    ones with A2 ones > 0, so J is Hurwitz iff gap'(c) < 0 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6): true at the
+    upper root for every pi > pi1_star, where F increases. J(0) = pi A2 - D
+    is congruent to D^1/2 (pi S - I) D^1/2, S = D^-1/2 A2 D^-1/2, so the
+    origin is stable iff pi < pi1 = 1 / lambda_max(S).
     """
     if g.alpha is None:
         raise ValueError("instance has no shared 2-interaction ratio")
@@ -220,26 +226,7 @@ def bistability_interval(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) ->
     hi = thresholds(g).pi1
     if not lo < hi:
         raise NoBistabilityError(f"empty window ({lo!r}, {hi!r})")
-    for t in range(1, 6):
-        pi = lo + (hi - lo) * t / 6.0
-        s = SystemInstance(graph=g, psi=psi, pi=pi)
-        origin = classify(s, np.zeros(g.n))
-        upper = classify(s, *_upper_consensus(s))
-        if origin.classification != "stable" or upper.classification != "stable":
-            raise NoBistabilityError(f"missing stable pair at effort {pi!r}")
     return (lo, hi)
-
-
-def _upper_consensus(s: SystemInstance):
-    """Newton's (state, residual) from c * ones at the largest positive
-    consensus root c; NoBistabilityError when there is no root or Newton fails."""
-    roots = consensus_roots(ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi)
-    if not roots:
-        raise NoBistabilityError(f"no upper root at effort {s.pi!r}")
-    try:
-        return _newton_raw(s, max(roots) * np.ones(s.graph.n))
-    except (NewtonDivergence, SingularJacobian) as exc:
-        raise NoBistabilityError(f"upper state lost at effort {s.pi!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -261,15 +248,14 @@ class BasinReport:
 
 def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
     """Integrate from c * ones for every radius c and label the attractor
-    reached. All radii run as one RK4 stack (``_rk4_rows``); each row's run
-    is bitwise the one ``integrate`` gives from that start alone."""
+    reached: "origin" within 1e-4 of 0, "upper" within 1e-4 of the upper
+    consensus state c * ones, c the largest consensus root (with a shared
+    ratio and a root only), "other" otherwise. All radii run as one RK4
+    stack (``_rk4_rows``); each row's run is bitwise the one ``integrate``
+    gives from that start alone."""
     radii = tuple(float(c) for c in radii)
-    target = None
-    if s.graph.alpha is not None:
-        try:
-            target, _ = _upper_consensus(s)
-        except NoBistabilityError:
-            pass
+    roots = [] if s.graph.alpha is None else consensus_roots(
+        ScalarReduced(alpha=s.graph.alpha, pi=s.pi), s.psi)
     labels = []
     finals = []
     for traj in _rk4_rows(s, np.outer(radii, np.ones(s.graph.n))):
@@ -279,7 +265,7 @@ def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
             labels.append("other")
         elif np.abs(x).max() < _ATTRACTOR_TOL:
             labels.append("origin")
-        elif target is not None and np.abs(x - target).max() < _ATTRACTOR_TOL:
+        elif roots and np.abs(x - max(roots)).max() < _ATTRACTOR_TOL:
             labels.append("upper")
         else:
             labels.append("other")

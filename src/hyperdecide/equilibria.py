@@ -16,19 +16,20 @@ General equilibria are found by damped Newton (``_newton_rows``) from one
 fixed seed rule and classified by the spectrum of the Jacobian. The seeds of
 many levels advance together as one (m, n) stack, each row at its own level:
 a grid search runs chunks of whole levels of at most 1e5 / n^2 rows, and
-``find_all`` is its one-level case. Below effort 1 the origin is the only
-equilibrium, so no level there is searched (``_search_grid``), and a zero
-seed takes no Newton step: its outcome, +0.0 at residual 0, is known. The
-seeds are 0 * ones, the consensus seeds and six uniform draws on
-[-(pi + 1), pi + 1]^n from rng seed 0. With a shared ratio the field at
-c * ones and the Jacobian's image of ones are multiples of the degree
-vector, so Newton from c * ones stays on the consensus line: the consensus
-seeds are the lifted roots, positive and negative, which are every
-consensus equilibrium but the origin. Without one they are c * ones for c
-in +-linspace(0, pi + 1, 11). The roots of all
-levels come from one array bisection, each element following the scalar
-loop, so every level's seed count is known before any stack exists; each
-chunk's seeds are built in one pass, bitwise the per-level rule. Where
+``find_all`` is its one-level case. The origin is an equilibrium at every
+level, since psi(0) = 0: each level's first record is +0.0 at residual 0,
+taken without Newton, and the search drops the states it finds within 1e-6
+of it. Below effort 1 the origin is the only equilibrium, so no level there
+is searched (``_search_grid``). The seeds are the consensus seeds and six
+uniform draws on [-(pi + 1), pi + 1]^n from rng seed 0. With a shared ratio
+the field at c * ones and the Jacobian's image of ones are multiples of the
+degree vector, so Newton from c * ones stays on the consensus line: the
+consensus seeds are the lifted roots, positive and negative, which are
+every consensus equilibrium but the origin. Without one they are c * ones
+for c in +-linspace(0, pi + 1, 11). The roots of all levels come from one
+array bisection, each element following the scalar loop, so every level's
+seed count is known before any stack exists; each chunk's seeds are built
+in one pass, bitwise the per-level rule. Where
 every chunk is a single level (one level's stack alone fills the budget,
 as at n = 120) and at least two CPUs are usable, the chunks run on that
 many threads, at most one per chunk: their n^2 and n^3 kernels release the
@@ -97,8 +98,8 @@ _SEED_RANDOM_COUNT = 6
 _SEED_RNG = 0
 _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
-# rows * n^2 of one Newton stack of a grid search: about 440 levels of 7 to
-# 9 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
+# rows * n^2 of one Newton stack of a grid search: about 500 levels of 6 to
+# 8 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
 # at n = 120, where one bigger stack ran slower. One-level chunks run on
 # threads, so peak memory grows by about one chunk's stack per extra worker.
 _STACK_BUDGET = 100_000
@@ -463,12 +464,11 @@ def newton_find(s: SystemInstance, x0) -> Equilibrium:
 def _seed_stack(pis: np.ndarray, scales: np.ndarray, uniform: np.ndarray) -> np.ndarray:
     """The seed stacks (m, n) of the global search at the levels ``pis``
     (L,), one level after another, each in the order the search keeps the
-    first of two equal results: 0 * ones, then c * ones for each c of the
-    level's row of ``scales`` (L, k) that is not NaN (the consensus seeds),
-    then the uniform rows -(pi + 1) + 2 (pi + 1) U for the draws ``uniform``
-    U (6, n), the arithmetic of ``Generator.uniform``."""
+    first of two equal results: c * ones for each c of the level's row of
+    ``scales`` (L, k) that is not NaN (the consensus seeds), then the
+    uniform rows -(pi + 1) + 2 (pi + 1) U for the draws ``uniform`` U (6, n),
+    the arithmetic of ``Generator.uniform``."""
     bound = pis + 1.0
-    scales = np.hstack([np.zeros((pis.size, 1)), scales])
     k = scales.shape[1]
     stack = np.empty((pis.size, k + len(uniform), uniform.shape[1]))
     stack[:, :k] = scales[..., None]
@@ -501,17 +501,17 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     """The global search at every effort level of ``levels``, level by level
     the list ``find_all`` gives there. ValueError, before any level is
     searched, when ``psi`` fails a clause of ``verify_assumptions``. Every
-    level below 1 gets the zero seed's record alone, as a search there
-    would, all classified at once. The levels from 1 on are searched, their
-    consensus seeds first: with a shared ratio the roots of one bisection,
-    else the grid. Their counts give every level's seed count, by which
-    ``_chunks`` groups the levels; a chunk's seed stack is built when the
-    chunk runs (``_search_chunk``). The search holds BLAS at one thread
-    (``_blas_pin``). When that pin is available, there are at least two
-    chunks, each of one level, and at least two CPUs are usable, the chunks
-    run on min(CPUs, chunks) threads (``_run_chunks``), with the serial
-    loop's results and errors; otherwise they run in turn, as threads did
-    not speed up many-level chunks."""
+    level's first record is the origin, state +0.0 at residual 0, classified
+    in ``_chunks`` ranges of one row per level. The levels from 1 on are
+    searched for the rest, their consensus seeds first: with a shared ratio
+    the roots of one bisection, else the grid. Their counts give every
+    level's seed count, by which ``_chunks`` groups the levels; a chunk's
+    seed stack is built when the chunk runs (``_search_chunk``). The search
+    holds BLAS at one thread (``_blas_pin``). When that pin is available,
+    there are at least two chunks, each of one level, and at least two CPUs
+    are usable, the chunks run on min(CPUs, chunks) threads
+    (``_run_chunks``), with the serial loop's results and errors; otherwise
+    they run in turn, as threads did not speed up many-level chunks."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
@@ -521,32 +521,37 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
         return []
     for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
         SystemInstance(graph=g, psi=psi, pi=float(pi))
-    # Below effort 1 the origin is the only equilibrium: at an equilibrium
+    # The origin is an equilibrium at every level, since psi(0) = 0 (the odd
+    # clause). Below effort 1 it is the only one: at an equilibrium
     # d_i x_i = pi G_i(x), and |psi(s)| <= min(|s|, 1) bounds each term of
     # G_i by its weight times |x|_inf, so d_i |x_i| <= pi d_i |x|_inf, which
     # at the largest |x_i| leaves x = 0 when pi < 1.
-    low = pis < 1.0
-    zeros = np.zeros((np.count_nonzero(low), g.n))
-    origins = iter(_classify_rows(g, psi, pis[low].tolist(), zeros, zeros[:, 0]))
-    pis = pis[~low]
-    if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
-        c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
-        scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
-    else:
-        scales = _consensus_roots(g.alpha, pis, psi)
-    sizes = 1 + np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
-    uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
-    chunks = list(_chunks(sizes, g.n))
-
-    def run(a, b):
-        return _search_chunk(g, psi, pis[a:b], sizes[a:b],
-                             _seed_stack(pis[a:b], scales[a:b], uniform))
-
     with _blas_pin as pinned:
+        per_level = [[eq] for a, b in _chunks(np.ones(pis.size, dtype=int), g.n)
+                     for eq in _classify_rows(g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)),
+                                              np.zeros(b - a))]
+        high = np.flatnonzero(pis >= 1.0)
+        if not high.size:
+            return per_level
+        pis = pis[high]
+        if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
+            c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
+            scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
+        else:
+            scales = _consensus_roots(g.alpha, pis, psi)
+        sizes = np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
+        uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
+        chunks = list(_chunks(sizes, g.n))
+
+        def run(a, b):
+            return _search_chunk(g, psi, pis[a:b], sizes[a:b],
+                                 _seed_stack(pis[a:b], scales[a:b], uniform))
+
         workers = min(_usable_cpus(), len(chunks)) if pinned and len(chunks) == pis.size else 1
         parts = _run_chunks(run, chunks, workers)
-    searched = (eqs for part in parts for eqs in part)
-    return [[next(origins)] if below else next(searched) for below in low.tolist()]
+    for i, found in zip(high.tolist(), (eqs for part in parts for eqs in part)):
+        per_level[i] += found
+    return per_level
 
 
 def _usable_cpus() -> int:
@@ -598,24 +603,22 @@ def _search_chunk(g: Hypergraph2, psi: SigmoidFamily, pis: np.ndarray, sizes,
                   seeds: np.ndarray) -> list[list[Equilibrium]]:
     """The global search from the seed stack ``seeds``, which holds
     ``sizes[l]`` rows at level ``pis[l]`` for each level in turn: one Newton
-    stack of the rows that are not +0.0, each row at its own level; each
-    level deduplicated in seed order by ``_same_equilibrium`` and sorted by
+    stack, each row at its own level; each level's converged rows but the
+    origin deduplicated in seed order by ``_same_equilibrium`` and sorted by
     sup norm, then by the components, all levels in one array pass; the
     whole chunk classified at once."""
     s = SystemInstance(graph=g, psi=psi, pi=float(pis[0]))
     levels = np.repeat(np.arange(pis.size), sizes)
-    # Newton leaves a seed of +0.0 where it is, converged at residual 0: the
-    # field there is +0.0, and its solve gives +-0, which moves no component
-    xs, ress = np.array(seeds, dtype=float), np.zeros(len(seeds))
-    causes = np.full(len(seeds), "converged", dtype=object)
-    rest = np.flatnonzero(np.signbit(xs).any(axis=1) | xs.any(axis=1))
-    xs[rest], ress[rest], causes[rest] = _newton_rows(s, xs[rest], pis[levels[rest]])
+    xs, ress, causes = _newton_rows(s, seeds, pis[levels])
+    # the origin's dedup distance is max(1e-6, 1e-12 * 0): a row below it in
+    # sup norm is the origin
+    new = (causes == "converged") & ~(np.abs(xs).max(axis=1) < _DEDUP_TOL)
     # (L, K) table of each level's seed rows, padded with -1: row j of a
-    # level is kept when it converged and matches no kept earlier row, the
+    # level is kept when it is new and matches no kept earlier row, the
     # tolerance taken from the earlier one, as a scan in seed order keeps
     table = np.full((pis.size, max(sizes)), -1)
     table[np.arange(table.shape[1]) < np.reshape(sizes, (-1, 1))] = np.arange(len(xs))
-    keep = (causes[table] == "converged") & (table >= 0)
+    keep = new[table] & (table >= 0)
     x = np.where(keep[..., None], xs[table], 0.0)
     for j in range(1, table.shape[1]):
         keep[:, j] &= ~(keep[:, :j] & _same_equilibrium(x[:, j, None], x[:, :j])).any(axis=1)

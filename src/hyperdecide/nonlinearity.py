@@ -119,7 +119,8 @@ class AssumptionReport:
 def verify_assumptions(f: SigmoidFamily) -> AssumptionReport:
     """Check the solver-facing regularity clauses on 2001 points of [-10, 10].
 
-    Clauses: ``odd`` (|f(x)+f(-x)| < 1e-12), ``unit_slope`` (f'(0) = 1 within
+    Clauses: ``odd`` (f(0) = 0 exactly, reported at x = 0 when it fails,
+    and |f(x)+f(-x)| < 1e-12), ``unit_slope`` (f'(0) = 1 within
     1e-12), ``monotone`` (f' > 0 everywhere), ``saturated`` (|f(+-10)| in
     (0.99, 1]) and ``sigmoidal`` (f'' < 0 right of the origin, > 0 left of it).
     """
@@ -130,10 +131,12 @@ def verify_assumptions(f: SigmoidFamily) -> AssumptionReport:
 
     clauses = []
 
+    # f(0) = 0 exactly: the solvers take the origin as an equilibrium at every effort
+    f0 = float(f.eval(np.array(0.0)))
     odd_dev = np.abs(fx + fx[::-1])
     i = int(np.argmax(odd_dev))
-    clauses.append(ClauseCheck("odd", bool(odd_dev[i] < 1e-12),
-                               float(x[i]), float(odd_dev[i])))
+    worst = (float(x[i]), float(odd_dev[i])) if f0 == 0.0 else (0.0, f0)
+    clauses.append(ClauseCheck("odd", f0 == 0.0 and bool(odd_dev[i] < 1e-12), *worst))
 
     d0 = float(f.deriv(np.array(0.0)))
     clauses.append(ClauseCheck("unit_slope", abs(d0 - 1.0) < 1e-12, 0.0, d0))

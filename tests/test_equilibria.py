@@ -450,18 +450,50 @@ def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     grid = 0.005 * np.arange(1, 1001)
     per_level = equilibria._search_grid(inst5, tanh, grid)
     assert len(per_level) == 1000
-    # the 199 levels below 1 are not searched: the origin alone, as zeros
-    for pi, eqs in zip(grid[:199].tolist(), per_level[:199]):
+    # every level's first record is the origin, +0.0 at residual 0, taken
+    # without a search; the stand-in search adds nothing, and the 199 levels
+    # below 1 are not searched
+    for pi, eqs in zip(grid.tolist(), per_level):
         assert [(eq.pi, eq.residual, eq.state.tobytes()) for eq in eqs] == \
             [(pi, 0.0, np.zeros(5).tobytes())]
-    # 0 and the 6 uniform rows at the 89 searched levels below the fold
-    # level 1.4436; with both positive roots up to 1.995; with the upper
-    # root alone at 2 = 1 + alpha, where the lower root has met the origin
-    # and the negative root is not yet born; with the upper and the
-    # negative root from 2.005 on
-    assert rows == [7] * 89 + [9] * 111 + [8] + [9] * 600
-    # 464 levels fill 3 997 of the 4 000 rows, then the other 337
-    assert events == [(kind, k) for k in (464, 337) for kind in ("build", "search")]
+    # the 6 uniform rows at the 89 searched levels below the fold level
+    # 1.4436; with both positive roots up to 1.995; with the upper root
+    # alone at 2 = 1 + alpha, where the lower root has met the origin and
+    # the negative root is not yet born; with the upper and the negative
+    # root from 2.005 on
+    assert rows == [6] * 89 + [8] * 111 + [7] + [8] * 600
+    # 522 levels fill 3 997 of the 4 000 rows, then the other 279
+    assert events == [(kind, k) for k in (522, 279) for kind in ("build", "search")]
+
+
+def test_grid_search_classifies_within_the_stack_budget(inst5, tanh, monkeypatch):
+    # the origins are classified in _chunks ranges of one row per level, so
+    # no eigensolve stack passes budget / n^2 rows (10 here), however many
+    # levels lie below 1, and the records do not depend on the budget
+    grid = hd.make_grid(0.05, 5.0, 0.05)
+    whole = equilibria._search_grid(inst5, tanh, grid)
+    classify_rows, rows = equilibria._classify_rows, []
+
+    def counted(g, psi, levels, X, residuals):
+        rows.append(len(X))
+        return classify_rows(g, psi, levels, X, residuals)
+
+    monkeypatch.setattr(equilibria, "_classify_rows", counted)
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", 10 * 25)
+    per_level = equilibria._search_grid(inst5, tanh, grid)
+    assert 0 < max(rows) <= 10
+    assert [equilibria_csv(eqs) for eqs in per_level] == [equilibria_csv(eqs) for eqs in whole]
+
+
+def test_levels_below_one_bisect_nothing(inst5, tanh, monkeypatch):
+    # no level is searched, so no fold state or consensus root is bisected
+    def bisected(*args):
+        raise AssertionError("bisected a fold state")
+
+    monkeypatch.setattr(equilibria, "pi1_star", bisected)
+    eqs = find_all(SystemInstance(graph=inst5, psi=tanh, pi=0.5))
+    assert [(eq.state.tobytes(), eq.residual) for eq in eqs] == [(np.zeros(5).tobytes(), 0.0)]
+    assert [len(eqs) for eqs in equilibria._search_grid(inst5, tanh, [0.1, 0.5, 0.99])] == [1] * 3
 
 
 @pytest.fixture
@@ -481,7 +513,8 @@ def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, 
     # the levels below 1 take no chunk: under a budget of one row per level
     # or of 6 rows per chunk (n = 120's cap, which would pack one-row low
     # levels into one chunk and turn the search serial) every level from 1
-    # on runs alone off the main thread
+    # on runs alone off the main thread; every level holds the origin, which
+    # no chunk finds
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", budget)
     runs = []
 
@@ -492,7 +525,7 @@ def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, 
     monkeypatch.setattr(equilibria, "_search_chunk", chunk)
     grid = hd.make_grid(0.25, 5.0, 0.25)
     per_level = equilibria._search_grid(inst5, tanh, grid)
-    assert [len(eqs) for eqs in per_level] == [1] * 3 + [0] * 17
+    assert [len(eqs) for eqs in per_level] == [1] * 20
     assert sorted(runs) == [([pi], False) for pi in grid[3:].tolist()]
 
 
@@ -537,7 +570,10 @@ def test_threaded_chunks_raise_the_first_failing_chunk_in_chunk_order(inst5, tan
 def test_threaded_chunks_are_all_joined(inst5, tanh, threaded, monkeypatch):
     started = failing_chunks(monkeypatch, {})
     before = threading.active_count()
-    assert equilibria._search_grid(inst5, tanh, GRID4) == [[]] * 4
+    per_level = equilibria._search_grid(inst5, tanh, GRID4)
+    # each level is the origin alone: the chunks found nothing else
+    assert [[(eq.pi, eq.state.tobytes()) for eq in eqs] for eqs in per_level] == \
+        [[(pi, np.zeros(5).tobytes())] for pi in GRID4]
     assert threading.active_count() == before
     assert sorted(started) == [0, 1, 2, 3]
 
@@ -639,6 +675,10 @@ UNSUITABLE = {
         deriv2=lambda x: (-2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)
                           + 0.4 * (6.0 * x - 56.0 * x ** 3 + 64.0 * x ** 5) * _BUMP(x)),
         name="bumped-tanh"),
+    # tanh(x) + 1e-13: within make_family's origin gate and odd to 1e-12,
+    # but psi(0) != 0, so the origin is no equilibrium
+    "odd": hd.make_family(lambda x: np.tanh(x) + 1e-13, hd.tanh_family().deriv,
+                          hd.tanh_family().deriv2, "lifted-tanh"),
 }
 
 

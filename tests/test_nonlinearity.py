@@ -106,6 +106,16 @@ def test_verify_assumptions_flags_nonmonotone():
     assert abs(mono.worst_x) > 1.0  # slope goes negative beyond the hump
 
 
+def test_verify_assumptions_flags_a_nonzero_origin_value(tanh):
+    # f(0) = 1e-13 passes make_family's 1e-12 gate and |f(x) + f(-x)| < 1e-12,
+    # but the origin is then no equilibrium: odd fails, reported at 0
+    f = make_family(lambda x: np.tanh(x) + 1e-13, tanh.deriv, tanh.deriv2, "lifted-tanh")
+    report = hd.verify_assumptions(f)
+    assert [c.name for c in report.clauses if not c.passed] == ["odd"]
+    odd = report.clause("odd")
+    assert (odd.worst_x, odd.worst_value) == (0.0, 1e-13)
+
+
 def test_report_clause_lookup(tanh):
     report = hd.verify_assumptions(tanh)
     with pytest.raises(KeyError):

@@ -317,14 +317,14 @@ def seed_rows(s, scales):
 
 
 def plain_seeds(s):
-    """The seed rule at one level, in seed order: 0; then, with a shared
-    ratio, the positive consensus roots and the negative one, or else the
-    consensus grid; all times ones; then the uniform rows."""
+    """The seed rule at one level, in seed order: with a shared ratio, the
+    positive consensus roots and the negative one, or else the consensus
+    grid; all times ones; then the uniform rows."""
     alpha = s.graph.alpha
     if alpha is None:
-        return seed_rows(s, [0.0] + consensus_grid(s.pi))
+        return seed_rows(s, consensus_grid(s.pi))
     negative = plain_negative_root(alpha, s.pi, s.psi)
-    return seed_rows(s, [0.0] + plain_consensus_roots(alpha, s.pi, s.psi)
+    return seed_rows(s, plain_consensus_roots(alpha, s.pi, s.psi)
                      + ([] if negative is None else [negative]))
 
 
@@ -344,15 +344,25 @@ def old_rule_seeds(s):
 def ratios_and_levels(draw):
     """A shared ratio (0, tiny, moderate or large) and up to 12 effort
     levels: below the fold level, within a few ulps or a relative 1e-9 or
-    1e-3 of it, on the sweep range or up to 1e13."""
+    1e-3 of it, on the sweep range or up to 1e13. A level tied to the fold
+    level is drawn relative to it, ("below", u) or ("near", d), and
+    ``fold_levels`` places it, so a draw needs no fold level of its own."""
     alpha = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 3.0),
                            st.floats(3.0, 1e3)))
-    star = pi1_star(alpha)[0]
-    near = st.sampled_from([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]).map(
-        lambda d: star * (1.0 + d))
-    level = st.one_of(st.floats(1e-6, star, exclude_max=True), near, st.floats(0.05, 5.0),
-                      st.floats(5.0, 1e13))
+    below = st.tuples(st.just("below"), st.floats(0.0, 1.0, exclude_max=True))
+    near = st.tuples(st.just("near"),
+                     st.sampled_from([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
+    level = st.one_of(below, near, st.floats(0.05, 5.0), st.floats(5.0, 1e13))
     return alpha, draw(st.lists(level, min_size=1, max_size=12))
+
+
+def fold_levels(star, levels):
+    """The drawn ``levels`` with the fold level ``star``: ("below", u) is
+    1e-6 + u (star - 1e-6), on [1e-6, star]; ("near", d) is star (1 + d);
+    a float is itself."""
+    return [lv if isinstance(lv, float) else
+            1e-6 + lv[1] * (star - 1e-6) if lv[0] == "below" else star * (1.0 + lv[1])
+            for lv in levels]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -364,7 +374,9 @@ def test_array_bisection_roots_equal_per_level_roots(case):
     # of its own scalar loop
     alpha, levels = case
     psi = hd.tanh_family()
-    assert pi1_star(alpha, psi) == plain_pi1_star(alpha, psi)
+    star = pi1_star(alpha, psi)
+    assert star == plain_pi1_star(alpha, psi)
+    levels = fold_levels(star[0], levels)
     roots = equilibria._consensus_roots(alpha, np.array(levels), psi)
     assert roots.shape == (len(levels), 3)
     for pi, row in zip(levels, roots[:, :2]):
@@ -384,6 +396,7 @@ def test_negative_root_column_is_the_plain_bisection(case):
     # the gap is about 1e-8 ((1 + alpha) (1 + alpha 1e-8) - pi))
     alpha, levels = case
     psi = hd.tanh_family()
+    levels = fold_levels(pi1_star(alpha, psi)[0], levels)
     column = equilibria._consensus_roots(alpha, np.array(levels), psi)[:, 2]
     for pi, root in zip(levels, column.tolist()):
         plain = plain_negative_root(alpha, pi, psi)
@@ -438,14 +451,16 @@ def test_root_seeds_find_what_the_grid_seeds_found(g, grid):
     # with a shared ratio the consensus line holds only the origin and the
     # roots of the scalar balance, so seeding it with the roots finds what
     # the old rule's 20-point grid found: the same count, labels and
-    # consensus flags, and states equal by the search's own test
+    # consensus flags, and states equal by the search's own test; the
+    # origin, first at every level, is no search result
     psi = hd.tanh_family()
     for pi, eqs in zip(grid, _search_grid(g, psi, grid)):
+        assert (eqs[0].state.tobytes(), eqs[0].residual) == (np.zeros(g.n).tobytes(), 0.0)
         seeds = old_rule_seeds(SystemInstance(g, psi, pi))
         old = equilibria._search_chunk(g, psi, np.array([pi]), np.array([len(seeds)]), seeds)[0]
-        assert [(eq.classification, eq.is_consensus) for eq in eqs] == \
+        assert [(eq.classification, eq.is_consensus) for eq in eqs[1:]] == \
             [(eq.classification, eq.is_consensus) for eq in old]
-        for a, b in zip(eqs, old):
+        for a, b in zip(eqs[1:], old):
             assert equilibria._same_equilibrium(a.state, b.state)
 
 
@@ -457,8 +472,8 @@ def test_root_seeds_find_what_the_grid_seeds_found(g, grid):
          levels=[0.5, 0.9, 0.99, 0.999, 1.0 - 2.0 ** -52])
 @example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), weight=1e-10, levels=[0.5, 0.9, 0.999])
 def test_levels_below_one_are_the_origin_alone(g, weight, levels):
-    # below effort 1 the search returns, bitwise, what Newton from the full
-    # seed stack of the level keeps: the origin alone, also where the
+    # below effort 1 the search returns the origin alone, and Newton from
+    # the full seed stack of the level keeps nothing else, also where the
     # weights are tiny and every residual is below the tolerance
     g = hd.build(g.a2 * weight, g.b * weight)
     psi = hd.tanh_family()
@@ -466,15 +481,17 @@ def test_levels_below_one_are_the_origin_alone(g, weight, levels):
         seeds = plain_seeds(SystemInstance(g, psi, pi))
         searched = equilibria._search_chunk(g, psi, np.array([pi]), np.array([len(seeds)]),
                                             seeds)[0]
-        assert _records(find_all(SystemInstance(g, psi, pi))) == _records(searched)
-        assert [eq.state.tobytes() for eq in searched] == [np.zeros(g.n).tobytes()]
+        eqs = find_all(SystemInstance(g, psi, pi))
+        assert _records(eqs[1:]) == _records(searched) == []
+        assert [(eq.state.tobytes(), eq.residual) for eq in eqs] == [(np.zeros(g.n).tobytes(), 0.0)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(g=ratio_instances(), levels=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4))
 def test_newton_leaves_the_zero_seed_in_place(g, levels):
-    # the outcome the search fills in for a zero seed without Newton, at
-    # drawn levels and at the origin's crossing pi1, where J(0) is singular
+    # the origin record the search puts first at every level without
+    # Newton is where Newton leaves a zero start, at drawn levels and at the
+    # origin's crossing pi1, where J(0) is singular
     s = SystemInstance(g, hd.tanh_family(), 1.0)
     levels = np.array(levels + [thresholds(g).pi1])
     for rows in ([[r] for r in range(levels.size)], [list(range(levels.size))]):
@@ -506,13 +523,52 @@ def test_the_origin_steps_onto_itself(g, grid):
     assert origin.states().tobytes() == np.zeros((len(grid), g.n)).tobytes()
 
 
+@st.composite
+def windowed_instances(draw):
+    """Shared-ratio instances of 3 to 8 agents, the ratio on [0.05, 3]."""
+    return hd.random_instance(draw(st.integers(3, 8)), draw(st.floats(0.5, 1.0)),
+                              draw(st.floats(0.3, 1.0)), draw(st.floats(0.05, 3.0)),
+                              draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(g=windowed_instances())
+def test_bistable_window_by_sampling_and_the_metzler_identity(g):
+    # the window is stated in closed form; the reference is the sampling it
+    # replaced: at five interior levels the origin and Newton from the
+    # lifted upper root c * ones are both stable, and Newton stays on c *
+    # ones, the basin probe's target. There J ones is the pairwise mass
+    # times gap'(c), the identity the closed form rests on. Past the ends,
+    # the origin is unstable just above pi1, and just below pi1_star there
+    # is no consensus root
+    psi = hd.tanh_family()
+    alpha, ones, mass = g.alpha, np.ones(g.n), g.a2.sum(axis=1)
+    lo, hi = bifurcation.bistability_interval(g, psi)
+    for t in range(1, 6):
+        pi = lo + (hi - lo) * t / 6.0
+        s = SystemInstance(g, psi, pi)
+        c = max(consensus_roots(ScalarReduced(alpha=alpha, pi=pi), psi))
+        assert equilibria.classify(s, np.zeros(g.n)).classification == "stable"
+        upper = hd.newton_find(s, c * ones)
+        assert upper.classification == "stable"
+        assert np.abs(upper.state - c).max() < 1e-9
+        j = jacobian(s, c * ones)
+        slope = -(1.0 + alpha) + pi * (1.0 - np.tanh(c) ** 2) * (1.0 + 2.0 * alpha * np.tanh(c))
+        assert np.abs(j @ ones - mass * slope).max() <= 1e-12 * np.abs(j).sum(axis=1).max()
+    above = SystemInstance(g, psi, hi * (1.0 + 1e-6))
+    assert equilibria.classify(above, np.zeros(g.n)).classification == "unstable"
+    assert consensus_roots(ScalarReduced(alpha=alpha, pi=lo * (1.0 - 1e-6)), psi) == []
+
+
 def seed_order_dedup(xs, causes, sizes):
-    """The kept rows of each level of a stack: the converged rows, the first
-    left kept and every row equal to it dropped, in seed order; sorted by
-    sup norm, then by the components."""
+    """The kept rows of each level of a stack: the converged rows after a
+    kept zero row, the first left kept and every row equal to it dropped, in
+    seed order; the zero row left out, the rest sorted by sup norm, then by
+    the components."""
     kept, start = [], 0
     for size in sizes:
         rows = start + np.flatnonzero(causes[start:start + size] == "converged")
+        rows = rows[~equilibria._same_equilibrium(xs[rows], np.zeros(xs.shape[1]))]
         found = []
         while rows.size:
             found.append(rows[0])
@@ -558,14 +614,20 @@ def planted_stacks(draw):
 # the threshold of its own, larger sup norm
 BOUNDARY = (np.array([[1e9, 0.0], [np.nextafter(np.nextafter(1e9, 2e9), 2e9), 1e-12 * 1e9]]),
             np.array(["converged", "converged"], dtype=object), [2])
+# the origin's distance: rows below 1e-6 in sup norm are the origin, a row
+# at 1e-6 is not, whatever its sign bits
+ORIGIN_EDGE = (np.array([[np.nextafter(1e-6, 0.0), -0.0], [-1e-6, 0.0], [0.0, -0.0], [0.5, 0.5]]),
+               np.array(["converged"] * 4, dtype=object), [4])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(stack=planted_stacks())
 @example(stack=BOUNDARY)
+@example(stack=ORIGIN_EDGE)
 def test_chunk_dedup_equals_the_seed_order_scan(stack):
     # the chunk's array pass keeps and orders, level by level, the rows the
-    # per-level scan keeps, with the tolerance of the earlier row
+    # per-level scan keeps after a kept zero row (the origin), with the
+    # tolerance of the earlier row
     xs, causes, sizes = stack
     g = hd.random_instance(xs.shape[1], 0.8, 0.5, 0.0, 0)
     pis = 1.0 + np.arange(len(sizes))
@@ -573,7 +635,7 @@ def test_chunk_dedup_equals_the_seed_order_scan(stack):
     classify = lambda g_, psi, levels, X, res: list(zip(levels, (x.tobytes() for x in X)))
     with mock.patch.object(equilibria, "_newton_rows", newton), \
             mock.patch.object(equilibria, "_classify_rows", classify):
-        # nonzero seeds: every row goes through the stand-in Newton
+        # the stand-in Newton gives every row its planted state
         found = equilibria._search_chunk(g, hd.tanh_family(), pis, np.array(sizes),
                                          np.ones_like(xs))
     plain = seed_order_dedup(xs, causes, sizes)

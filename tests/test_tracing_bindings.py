@@ -55,8 +55,9 @@ def test_traced_basin_probe_and_integrate_run():
     # the radii run through the stacked core, which is not a traced name
     assert out["calls"] == 1
     assert out["traced_steps"] == out["steps"] == 100
-    # the RK4 stages call the unchecked _field, and so does the Newton of
-    # _upper_consensus: no call of the smoke passes the traced public name
+    # the RK4 stages call the unchecked _field, and the upper state is the
+    # lifted consensus root, with no Newton: no call of the smoke passes the
+    # traced public name
     assert out["field_calls"] == 0
 
 
@@ -111,10 +112,10 @@ def test_traced_sweep_runs_one_search_per_level():
         hd.bifurcation.sweep(g, hd.tanh_family(), [1.6, 1.7, 1.8]))
     # the three levels in one chunk: one seed stack and one Newton stack
     # that bypass the traced one-level names; the threading's one round:
-    # one Newton stack of the steps up and one of the steps back; the only
-    # traced Newton runs are the five samples of bistability_interval (no
-    # rescue), each of which classifies the origin and the upper state
+    # one Newton stack of the steps up and one of the steps back; the
+    # bistable window is exact, so no traced Newton run or classification
+    # samples it, and there is no rescue
     assert out["seed_stacks"] == 1
-    assert out["newton_stacks"] == 1 + 2 + 5
+    assert out["newton_stacks"] == 1 + 2
     assert out["find_all_calls"] == 0
-    assert (out["newton_runs"], out["rescue_runs"], out["classify_calls"]) == (5, 0, 10)
+    assert (out["newton_runs"], out["rescue_runs"], out["classify_calls"]) == (0, 0, 0)
