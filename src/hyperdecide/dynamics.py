@@ -6,11 +6,14 @@ with products of transmitted states over its weighted pairs. Field and
 Jacobian take one state (n,) or a stack of states (m, n), row by row. The
 integrator is classical 4th-order Runge-Kutta with a fixed step, run on a
 stack of starts (``_rk4_rows``) whose rows advance together; ``integrate``
-is its one-state case. The start is checked once, and the stages call the
-unchecked ``_field`` with 0-d factors, the same bits as Python floats. Each
-row stops once its field residual drops below tolerance, and the run aborts
-when a row passes max(1e6, 10 pi, 10 |x0|_inf) in magnitude or turns NaN.
-Every row's result is bitwise the run from that start alone.
+is its one-state case. The start is checked once, the field is bound once
+per run (``_field_of``), and the stages call it with 0-d factors, the same
+bits as Python floats. Each row stops once its field residual drops below
+tolerance, and the run aborts when a row passes max(1e6, 10 pi,
+10 |x0|_inf) in magnitude or turns NaN. A lone row screens both tests by
+dot products, which settle only the cases far from a threshold, so the
+exact tests still make every decision. Every row's result is bitwise the
+run from that start alone.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .hypergraph import Hypergraph2, _pair_rows, _triple_term
+from .hypergraph import Hypergraph2, _pair_rows, _triple_term_of
 from .nonlinearity import SigmoidFamily
 
 __all__ = [
@@ -102,16 +105,29 @@ def _one_state(s: SystemInstance, x) -> np.ndarray:
     return x
 
 
+def _field_of(g: Hypergraph2, psi: SigmoidFamily, pi):
+    """The field at effort ``pi`` as a function of a state (n,) or a stack
+    (m, n); ``pi`` is one level or a column (m, 1) of per-row levels, which
+    gives every row the arithmetic of its own level. What the field reads is
+    bound here once, so a run that calls it four times a step looks nothing
+    up per call."""
+    evaluate, a2, dot, degrees = psi.eval, g.a2, g.a2.dot, g.degrees
+    triple_term = _triple_term_of(g)
+
+    def field(x):
+        p = evaluate(x)
+        # one matrix-vector product per row: a matrix product would give a row
+        # different last bits depending on the stack height. For one state,
+        # ``.dot`` is the same gemv as ``@`` at less than half its call cost.
+        pair = dot(p) if p.ndim == 1 else (a2 @ p[..., None])[..., 0]
+        return pi * (pair + triple_term(p)) - degrees * x
+    return field
+
+
 def _field(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
-    """The field at effort ``pi`` for a state (n,) or a stack (m, n); ``pi``
-    is one level or a column (m, 1) of per-row levels, which gives every row
-    the arithmetic of its own level."""
-    p = psi.eval(x)
-    # one matrix-vector product per row: a matrix product would give a row
-    # different last bits depending on the stack height. For one state,
-    # ``.dot`` is the same gemv as ``@`` at less than half its call cost.
-    pair = g.a2.dot(p) if p.ndim == 1 else (g.a2 @ p[..., None])[..., 0]
-    return pi * (pair + _triple_term(g, p)) - g.degrees * x
+    """The field at effort ``pi`` for a state (n,) or a stack (m, n), as
+    ``_field_of``."""
+    return _field_of(g, psi, pi)(x)
 
 
 def _jacobian(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
@@ -158,12 +174,21 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     raises DivergenceError for the whole stack. A finished row leaves the
     stack, so every row's result is bitwise the run from that row alone. A
     lone row runs as one state (n,), the field's cheapest call, and stops on
-    a scalar comparison of its residual. The start is checked here once, so
-    the stages call ``_field`` directly; the effort and the step factors are
-    0-d arrays, the same IEEE products as Python floats at less cost per
-    numpy call. The history grows by each step's live rows; it is never
-    preallocated, and a step count above ``_MAX_RK4_STEPS`` is refused
-    before the first step.
+    a scalar comparison of its residual. The start is checked here once, and
+    the field is bound here once, so the stages look nothing up; the effort
+    and the step factors are 0-d arrays, the same IEEE products as Python
+    floats at less cost per numpy call.
+
+    A lone row screens its guard and its stop by dot products. x.x below
+    floor^2 puts every component below floor, and k1.k1 at n tol^2 or above
+    puts one at tol or above, so the row is not done. The margin covers the
+    dot's rounding, and a NaN compares False under both, so anything near a
+    threshold falls through to the abs-max test: the same decisions at the
+    same steps. The screens run only where the squares cannot overflow.
+
+    The history grows by each step's live rows; it is never preallocated,
+    and a step count above ``_MAX_RK4_STEPS`` is refused before the first
+    step.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
@@ -180,42 +205,56 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     if not m:
         return []
     limit = np.maximum(max(_BLOWUP, 10.0 * s.pi), 10.0 * np.abs(x).max(axis=1))
-    floor = limit.min()  # no row passes its guard while |x|_inf stays below
+    floor = float(limit.min())  # no row passes its guard while |x|_inf stays below
     live = np.arange(m)
     last = np.full(m, n_steps)  # index of each row's last recorded state
     residual = np.full(m, np.inf)
+    # The screens' margin covers the rounding of a dot of n squares, within
+    # n eps of its exact value. They run only where no sum of squares can
+    # overflow: with |psi| <= 1 a field component is at most d (pi + r) on
+    # states within r, so a step from within the largest guard keeps every
+    # stage state and field within max(1, d) (guard + pi) (1 + dt d)^4.
+    d = float(s.graph.degrees.max())
+    bound = [n, max(1.0, d), float(limit.max()) + float(s.pi)] + [1.0 + float(dt) * d] * 4
+    no_overflow = math.prod(bound) < 1e150
+    screen = no_overflow and m == 1
+    margin = 4.0 * (n + 2) * math.ulp(1.0)
+    guard_sq = floor * floor * (1.0 - margin)
+    stop_sq = n * RESIDUAL_TOL * RESIDUAL_TOL * (1.0 + margin)
     if m == 1:
         x = x[0]
-    g, psi, pi = s.graph, s.psi, np.array(s.pi)
+    field = _field_of(s.graph, s.psi, np.array(s.pi))
     half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
     hist = [x]
     cuts = [(0, live)]  # (first history index, rows stored from there on)
     for k in range(n_steps):
-        if not np.abs(x).max() <= floor:
+        if not (screen and x.dot(x) < guard_sq) and not np.abs(x).max() <= floor:
             _check_guard(x, limit, k * dt)
-        k1 = _field(g, psi, pi, x)
-        res = np.abs(k1).max(axis=-1)
-        done = res < RESIDUAL_TOL
-        # a NaN residual compares False either way, so its row never stops
-        if done if x.ndim == 1 else np.count_nonzero(done):
-            done, res = done.reshape(-1), res.reshape(-1)
-            last[live[done]], residual[live[done]] = k, res[done]
-            live = live[~done]
-            if not live.size:
-                break
-            x, k1, limit = x[~done], k1[~done], limit[~done]
-            if live.size == 1:
-                x, k1 = x[0], k1[0]
-            floor = limit.min()
-            cuts.append((len(hist), live))
-        k2 = _field(g, psi, pi, x + half * k1)
-        k3 = _field(g, psi, pi, x + half * k2)
-        k4 = _field(g, psi, pi, x + full * k3)
+        k1 = field(x)
+        if not (screen and k1.dot(k1) >= stop_sq):
+            res = np.abs(k1).max(axis=-1)
+            done = res < RESIDUAL_TOL
+            # a NaN residual compares False either way, so its row never stops
+            if done if x.ndim == 1 else np.count_nonzero(done):
+                done, res = done.reshape(-1), res.reshape(-1)
+                last[live[done]], residual[live[done]] = k, res[done]
+                live = live[~done]
+                if not live.size:
+                    break
+                x, k1, limit = x[~done], k1[~done], limit[~done]
+                if live.size == 1:
+                    x, k1, screen = x[0], k1[0], no_overflow
+                floor = float(limit.min())
+                guard_sq = floor * floor * (1.0 - margin)
+                cuts.append((len(hist), live))
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + full * k3)
         x = x + sixth * (k1 + two * k2 + two * k3 + k4)
         hist.append(x)
     if live.size:  # rows that reached t_max
         _check_guard(x, limit, t_max)
-        residual[live] = np.abs(_field(g, psi, pi, x)).max(axis=-1)
+        residual[live] = np.abs(field(x)).max(axis=-1)
     pieces = [[] for _ in range(m)]
     for (a, rows), b in zip(cuts, [c for c, _ in cuts[1:]] + [len(hist)]):
         block = np.stack(hist[a:b]).reshape(b - a, rows.size, n)

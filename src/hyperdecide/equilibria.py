@@ -424,12 +424,14 @@ def _newton_raw(s: SystemInstance, x0):
 
 
 def _classify_rows(g: Hypergraph2, psi: SigmoidFamily, levels: Sequence[float], X: np.ndarray,
-                   residuals: Sequence[float]) -> list[Equilibrium]:
+                   residuals: Sequence[float], symmetric: bool = False) -> list[Equilibrium]:
     """Wrap the stationary states ``X`` (m, n), row r at effort ``levels[r]``
     with field residual ``residuals[r]``, with their spectral classification:
-    one stacked Jacobian, one eigensolve."""
+    one stacked Jacobian, one eigensolve, the symmetric one when the caller
+    knows every Jacobian is symmetric."""
+    eigenvalues = np.linalg.eigvalsh if symmetric else np.linalg.eigvals
     try:
-        spectra = np.linalg.eigvals(_jacobian(g, psi, np.reshape(levels, (-1, 1)), X))
+        spectra = eigenvalues(_jacobian(g, psi, np.reshape(levels, (-1, 1)), X))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolve did not converge: {exc}") from exc
     tops = spectra.real.max(axis=1)
@@ -525,11 +527,13 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     # clause). Below effort 1 it is the only one: at an equilibrium
     # d_i x_i = pi G_i(x), and |psi(s)| <= min(|s|, 1) bounds each term of
     # G_i by its weight times |x|_inf, so d_i |x_i| <= pi d_i |x|_inf, which
-    # at the largest |x_i| leaves x = 0 when pi < 1.
+    # at the largest |x_i| leaves x = 0 when pi < 1. Its Jacobian
+    # pi psi'(0) A2 - D is symmetric bit for bit (build refuses an asymmetric
+    # A2, and every column takes the same factor), so its spectrum is real.
     with _blas_pin as pinned:
         per_level = [[eq] for a, b in _chunks(np.ones(pis.size, dtype=int), g.n)
                      for eq in _classify_rows(g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)),
-                                              np.zeros(b - a))]
+                                              np.zeros(b - a), symmetric=True)]
         high = np.flatnonzero(pis >= 1.0)
         if not high.size:
             return per_level

@@ -152,18 +152,33 @@ class Hypergraph2:
 # of np.add.reduceat, a bin of np.bincount), never through a BLAS product, so
 # a row of a stack (m, n) gets the same bits as the state alone.
 
+def _triple_term_of(g: Hypergraph2):
+    """The function p -> sum_jk b[i, j, k] p_j p_k for every agent i, for one
+    state p (n,) or every row of a stack (m, n), with the triple arrays bound
+    once. When every agent has exactly one term entry (an agent without
+    triples counts its zero-weight entry), each segment sum is its one entry,
+    so the products are returned as they are: the same bits without the
+    segment sum, as on the paper's 5-agent example."""
+    t = g.triples
+    term_j, term_k, term_w, starts = t.term_j, t.term_k, t.term_w, t.term_starts
+    one_entry = starts.size == term_j.size
+
+    def term(p):
+        # the same gathered values either way; p[idx] is numpy's fast path for
+        # one state (0.23 against 0.6 us at n = 5, 8 gathers per RK4 step)
+        pj, pk = ((p[term_j], p[term_k]) if p.ndim == 1 else
+                  (p.take(term_j, axis=-1), p.take(term_k, axis=-1)))
+        # (pj pk) w, multiplied in place: no stack-sized temporaries
+        pj *= pk
+        pj *= term_w
+        return pj if one_entry else np.add.reduceat(pj, starts, axis=-1)
+    return term
+
+
 def _triple_term(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
     """sum_jk b[i, j, k] p_j p_k for every agent i, for one state p (n,) or
     every row of a stack (m, n)."""
-    t = g.triples
-    # the same gathered values either way; p[idx] is numpy's fast path for one
-    # state (0.23 against 0.6 us at n = 5, 8 gathers per RK4 step)
-    pj, pk = ((p[t.term_j], p[t.term_k]) if p.ndim == 1 else
-              (p.take(t.term_j, axis=-1), p.take(t.term_k, axis=-1)))
-    # (pj pk) w, multiplied in place: no stack-sized temporaries
-    pj *= pk
-    pj *= t.term_w
-    return np.add.reduceat(pj, t.term_starts, axis=-1)
+    return _triple_term_of(g)(p)
 
 
 def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:

@@ -112,51 +112,57 @@ def test_integrate_refuses_a_step_count_that_is_not_finite(inst5, tanh):
         integrate(s, np.zeros(5), dt=1e-300, t_max=1e300)
 
 
+def _counted_fields(monkeypatch):
+    """Count the per-run field bindings and every evaluation of the bound
+    fields: [bindings, shapes of the evaluated states]."""
+    counts = [0, []]
+    field_of = dynamics._field_of
+
+    def counted_field_of(g, psi, pi):
+        counts[0] += 1
+        field = field_of(g, psi, pi)
+
+        def counted(x):
+            counts[1].append(x.shape)
+            return field(x)
+        return counted
+
+    monkeypatch.setattr(dynamics, "_field_of", counted_field_of)
+    return counts
+
+
 def test_integrate_refuses_a_step_count_past_the_cap(inst5, tanh, monkeypatch):
-    # refused before any step: the field is never called
+    # refused before any step: no field is bound or evaluated
     s = _sys(inst5, 1.7, tanh)
-    calls = []
-
-    def still(g, psi, pi, x):
-        calls.append(x)
-        return np.zeros_like(x)
-
-    monkeypatch.setattr(dynamics, "_field", still)
+    counts = _counted_fields(monkeypatch)
     cap = dynamics._MAX_RK4_STEPS
     with pytest.raises(ValueError, match=f"gives {cap + 1} steps; at most {cap} are allowed"):
         integrate(s, np.zeros(5), dt=1.0, t_max=cap + 1.0)
     with pytest.raises(ValueError, match=f"at most {cap} are allowed"):
         _rk4_rows(s, np.zeros((3, 5)), dt=1e-9)
-    assert not calls
-    # the cap itself runs; a still field stops it at step 0
+    assert counts == [0, []]
+    # the cap itself runs; the origin is stationary, which stops it at step 0
     assert integrate(s, np.zeros(5), dt=1.0, t_max=float(cap)).states.shape == (1, 5)
-    assert len(calls) == 1
+    assert counts == [1, [(5,)]]
 
 
 def test_rk4_field_calls_are_four_per_step_plus_one(inst5, tanh, monkeypatch):
-    # the deterministic work count: four stages a step and one final
-    # residual, whatever the number of rows
+    # the deterministic work count: one field binding a run, four stages a
+    # step and one final residual, whatever the number of rows
     s = _sys(inst5, 1.7, tanh)
-    calls = []
-    field = dynamics._field
-
-    def counted(g, psi, pi, x):
-        calls.append(x.shape)
-        return field(g, psi, pi, x)
-
-    monkeypatch.setattr(dynamics, "_field", counted)
+    counts = _counted_fields(monkeypatch)
     traj = integrate(s, 0.3 * np.ones(5), t_max=1.0)
     assert not traj.converged and traj.times.size == 101
-    assert len(calls) == 4 * 100 + 1
-    calls.clear()
+    assert counts[0] == 1 and len(counts[1]) == 4 * 100 + 1
+    counts[:] = [0, []]
     stack = _rk4_rows(s, np.outer([0.3, 0.5], np.ones(5)), t_max=1.0)
     assert [t.times.size for t in stack] == [101, 101]
     assert not any(t.converged for t in stack)
-    assert len(calls) == 401 and set(calls) == {(2, 5)}
-    calls.clear()
+    assert counts[0] == 1 and len(counts[1]) == 401 and set(counts[1]) == {(2, 5)}
+    counts[:] = [0, []]
     # the origin is stationary: its residual at step 0 stops the run
     assert integrate(s, np.zeros(5)).states.shape == (1, 5)
-    assert len(calls) == 1
+    assert counts == [1, [(5,)]]
 
 
 def test_integrate_stops_when_the_state_turns_nan(inst5, tanh):

@@ -474,9 +474,9 @@ def test_grid_search_classifies_within_the_stack_budget(inst5, tanh, monkeypatch
     whole = equilibria._search_grid(inst5, tanh, grid)
     classify_rows, rows = equilibria._classify_rows, []
 
-    def counted(g, psi, levels, X, residuals):
+    def counted(g, psi, levels, X, residuals, **symmetric):
         rows.append(len(X))
-        return classify_rows(g, psi, levels, X, residuals)
+        return classify_rows(g, psi, levels, X, residuals, **symmetric)
 
     monkeypatch.setattr(equilibria, "_classify_rows", counted)
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", 10 * 25)

@@ -5,6 +5,7 @@ shared ratio (0 for two agents, which have no admissible triples) and a
 seed, with a fixed example sequence so every run checks the same draws.
 """
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _f
 from hyperdecide.errors import DivergenceError
 from hyperdecide import bifurcation, equilibria
 from hyperdecide.equilibria import (ScalarReduced, _newton_rows, _search_grid, consensus_gap,
-                                    consensus_roots, find_all, pi1_star)
+                                    consensus_roots, equilibria_csv, find_all, pi1_star)
 from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
 from hyperdecide.spectra import thresholds
 
@@ -98,59 +99,203 @@ NAN_TAIL = hd.SigmoidFamily(eval=lambda x: np.where(np.abs(x) < 1.0, np.tanh(x),
                             name="tanh-nan-tail")
 
 
-def plain_rk4(s, x0, dt, t_max):
-    """A plain one-state RK4 loop with the residual stop: times, states,
-    converged, final residual."""
-    x, times, states = x0, [0.0], [x0]
-    for k in range(int(round(t_max / dt))):
-        k1 = vector_field(s, x)
-        residual = float(np.abs(k1).max())
+def reference_rk4(g, pi, x0, dt, t_max, transmit):
+    """A plain one-state RK4 loop in the integrator's arithmetic, written
+    out: p = transmit(x), a2.dot(p), one reduceat segment sum per agent of
+    p_j p_k w, 0-d effort and step factors, and the guard and the residual
+    stop on abs-max tests. (times, states, converged, final residual), or
+    (step, DivergenceError message) of a run that passes its guard."""
+    t = g.triples
+    pi, half, full, sixth, two = (np.array(v) for v in (pi, 0.5 * dt, dt, dt / 6.0, 2.0))
+
+    def field(x):
+        p = transmit(x)
+        triple = np.add.reduceat(p[t.term_j] * p[t.term_k] * t.term_w, t.term_starts)
+        return pi * (g.a2.dot(p) + triple) - g.degrees * x
+
+    limit = max(1e6, 10.0 * float(pi), 10.0 * float(np.abs(x0).max()))
+    n_steps = int(round(t_max / dt))
+    x, states = x0, [x0]
+    for k in range(n_steps):
+        if not np.abs(x).max() <= limit:
+            return k, f"state component exceeded {limit:g} at t={k * dt:.6g}"
+        k1 = field(x)
+        residual = np.abs(k1).max()
         if residual < RESIDUAL_TOL:
-            return np.array(times), np.array(states), True, residual
-        k2 = vector_field(s, x + 0.5 * dt * k1)
-        k3 = vector_field(s, x + 0.5 * dt * k2)
-        k4 = vector_field(s, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        times.append((k + 1) * dt)
+            return np.arange(k + 1) * dt, np.array(states), True, float(residual)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + full * k3)
+        x = x + sixth * (k1 + two * k2 + two * k3 + k4)
         states.append(x)
-    residual = float(np.abs(vector_field(s, x)).max())
-    return np.array(times), np.array(states), residual < RESIDUAL_TOL, residual
+    if not np.abs(x).max() <= limit:
+        return n_steps, f"state component exceeded {limit:g} at t={t_max:.6g}"
+    residual = float(np.abs(field(x)).max())
+    return np.arange(n_steps + 1) * dt, np.array(states), residual < RESIDUAL_TOL, residual
+
+
+def assert_rk4_matches_reference(s, X0, dt, t_max):
+    """``integrate`` from every row of ``X0`` and every row of one
+    ``_rk4_rows`` stack, bit for bit against ``reference_rk4``; a stack
+    with a diverging row raises the message of the row that diverges first
+    (the lowest row at that step). The outcome of each row: "converged",
+    "t_max" or "diverged"."""
+    refs = [reference_rk4(s.graph, s.pi, x0, dt, t_max, s.psi.eval) for x0 in X0]
+
+    def assert_same(run, ref):
+        # repr: a run of no steps can end on a NaN residual
+        assert (run.converged, repr(run.final_residual)) == (ref[2], repr(ref[3]))
+        assert run.times.tobytes() == ref[0].tobytes()
+        assert run.states.shape == ref[1].shape and run.states.tobytes() == ref[1].tobytes()
+
+    for x0, ref in zip(X0, refs):
+        if len(ref) == 2:
+            with pytest.raises(DivergenceError) as err:
+                integrate(s, x0, dt, t_max)
+            assert str(err.value) == ref[1]
+        else:
+            assert_same(integrate(s, x0, dt, t_max), ref)
+    diverged = [(ref[0], r) for r, ref in enumerate(refs) if len(ref) == 2]
+    if diverged:
+        with pytest.raises(DivergenceError) as err:
+            _rk4_rows(s, X0, dt, t_max)
+        assert str(err.value) == refs[min(diverged)[1]][1]
+    else:
+        for run, ref in zip(_rk4_rows(s, X0, dt, t_max), refs):
+            assert_same(run, ref)
+    return ["diverged" if len(ref) == 2 else "converged" if ref[2] else "t_max" for ref in refs]
+
+
+INST5 = hd.random_instance(5, 0.8, 0.2, 1.0, 1)
+
+
+@st.composite
+def rk4_instances(draw):
+    """An instance as ``instances`` draws it; the 5-agent example under a
+    drawn relabelling, one term entry per agent; or 4 to 8 agents with dense
+    triples, several entries per agent, as drawn or with agent 0's triples
+    or all triples removed (an agent without triples keeps one zero-weight
+    entry)."""
+    kind = draw(st.sampled_from(["drawn", "relabelled", "dense", "agent 0 bare", "no triples"]))
+    if kind == "drawn":
+        return draw(instances())
+    if kind == "relabelled":
+        perm = np.array(draw(st.permutations(range(5))))
+        g = hd.build(INST5.a2[np.ix_(perm, perm)], INST5.b[np.ix_(perm, perm, perm)])
+    else:
+        g = hd.random_instance(draw(st.integers(4, 8)), draw(st.floats(0.5, 1.0)),
+                               draw(st.floats(0.6, 1.0)), draw(st.floats(0.1, 3.0)),
+                               draw(st.integers(0, 2**32 - 1)))
+        if kind != "dense":
+            b = np.array(g.b)
+            b[0 if kind == "agent 0 bare" else slice(None)] = 0.0
+            g = hd.build(g.a2, b)
+    t = g.triples
+    assert (t.term_starts.size == t.term_j.size) == (kind in ("relabelled", "no triples"))
+    return g
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(g=instances(), pi=st.floats(0.2, 3.0), seed=st.integers(0, 2**32 - 1),
+@given(g=rk4_instances(), pi=st.floats(0.2, 3.0), seed=st.integers(0, 2**32 - 1),
        scales=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 0.05, 0.5, 3.0, 2e6]), min_size=1,
                        max_size=6),
-       dt=st.sampled_from([0.1, 0.25]), t_max=st.floats(0.5, 20.0), nan_tail=st.booleans())
+       dt=st.sampled_from([0.1, 0.25, 1.0, 3.0]), t_max=st.floats(0.5, 40.0),
+       nan_tail=st.booleans())
 # rows that stop at steps 0, 24 and 143 and reach t_max at 200
-@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), pi=0.5, seed=0,
-         scales=[0.0, 1e-9, 1e-4, 0.05, 3.0, 2e6], dt=0.1, t_max=20.0, nan_tail=False)
+@example(g=INST5, pi=0.5, seed=0, scales=[0.0, 1e-9, 1e-4, 0.05, 3.0, 2e6], dt=0.1,
+         t_max=20.0, nan_tail=False)
 # rows that stop at step 0, reach t_max and turn NaN at t = 0.1
-@example(g=hd.random_instance(5, 0.8, 0.2, 1.0, 1), pi=1.7, seed=0, scales=[0.0, 0.05, 3.0],
-         dt=0.1, t_max=20.0, nan_tail=True)
+@example(g=INST5, pi=1.7, seed=0, scales=[0.0, 0.05, 3.0], dt=0.1, t_max=20.0, nan_tail=True)
 def test_rk4_rows_equal_one_state_runs(g, pi, seed, scales, dt, t_max, nan_tail):
-    # bitwise against a plain loop, whether a row stops at step 0, stops
-    # later or reaches t_max; a 2e6 start has a guard of its own (2e7); the
-    # stack raises exactly when one of its rows alone does
+    # bitwise against the reference loop, on instances with one term entry
+    # per agent, several, or agents without triples, whether a row stops at
+    # step 0, stops later, reaches t_max or, at the larger steps, leaves
+    # RK4's stability region and passes its guard; a 2e6 start has a guard
+    # of its own (2e7); the stack raises exactly when one of its rows alone
+    # does, with that row's message
     s = SystemInstance(graph=g, psi=NAN_TAIL if nan_tail else hd.tanh_family(), pi=pi)
     X0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(scales), g.n))
     X0 *= np.array(scales)[:, None]
-    try:
-        alone = [integrate(s, x0, dt, t_max) for x0 in X0]
-    except DivergenceError:
-        with pytest.raises(DivergenceError):
-            _rk4_rows(s, X0, dt, t_max)
-        return
-    stacked = _rk4_rows(s, X0, dt, t_max)
-    assert len(stacked) == len(alone)
-    for x0, a, b in zip(X0, alone, stacked):
-        times, states, converged, residual = plain_rk4(s, x0, dt, t_max)
-        for run in (a, b):
-            assert run.times.tobytes() == times.tobytes()
-            assert run.states.shape == states.shape
-            assert run.states.tobytes() == states.tobytes()
-            assert (run.converged, run.final_residual) == (converged, residual)
+    assert_rk4_matches_reference(s, X0, dt, t_max)
 
+
+@pytest.mark.parametrize("g, pi, scale, dt, t_max, outcome", [
+    (INST5, 0.5, 0.5, 0.1, 40.0, "converged"),
+    (INST5, 1.7, 0.5, 0.1, 3.0, "t_max"),
+    (INST5, 1.7, 0.5, 3.0, 40.0, "diverged"),
+    (hd.random_instance(6, 0.8, 1.0, 0.5, 4), 0.5, 0.5, 0.1, 40.0, "converged"),
+    (hd.random_instance(6, 0.8, 1.0, 0.5, 4), 2.5, 3.0, 0.25, 5.0, "t_max"),
+    (hd.random_instance(6, 0.8, 1.0, 0.5, 4), 2.5, 3.0, 3.0, 40.0, "diverged"),
+])
+def test_rk4_reference_outcomes(g, pi, scale, dt, t_max, outcome):
+    # each instance kind with a start that converges, one that reaches t_max
+    # and one that diverges, alone and stacked with a smaller start
+    s = SystemInstance(graph=g, psi=hd.tanh_family(), pi=pi)
+    x0 = scale * np.linspace(-1.0, 1.0, g.n) + 0.1
+    assert assert_rk4_matches_reference(s, np.array([x0, 1e-3 * x0]), dt, t_max)[0] == outcome
+
+
+# A lone row screens its guard and its stop by dot products; the cases
+# below sit where a screen must not decide or must not run, and none may
+# raise a RuntimeWarning.
+
+def test_rk4_screens_stay_off_where_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # a start whose guard 10 |x0|_inf is near the float maximum
+        s = SystemInstance(graph=INST5, psi=hd.tanh_family(), pi=1.0)
+        assert assert_rk4_matches_reference(s, 1e307 * np.ones((1, 5)), 0.01, 1.0) == ["t_max"]
+        # every weight times 1e150, on a time scale as short: degrees near
+        # 1e150 put the field's squares past the float maximum
+        big = hd.build(1e150 * INST5.a2, 1e150 * INST5.b)
+        s = SystemInstance(graph=big, psi=hd.tanh_family(), pi=1.7)
+        X0 = np.array([0.5 * np.ones(5), np.linspace(-3.0, 3.0, 5)])
+        assert assert_rk4_matches_reference(s, X0, 1e-152, 1e-150) == ["t_max", "t_max"]
+
+
+def test_rk4_stop_screen_leaves_the_threshold_to_the_exact_test(c5):
+    # no transmission: the field is -2 x exactly, every component the same,
+    # so the residual's dot sits at n times its square; a start at
+    # -0.4995e-10 has every residual component at 0.999e-10 and stops at
+    # step 0, one at -0.5e-10 has them at the tolerance and does not
+    still = np.zeros_like
+    s = SystemInstance(graph=c5, psi=hd.SigmoidFamily(still, still, still, "still"), pi=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, steps in ((-0.4995e-10, 0), (-0.5e-10, 1), (-1e-9, None)):
+            x0 = np.full((1, 5), c)
+            assert assert_rk4_matches_reference(s, x0, 0.1, 20.0) == ["converged"]
+            if steps is not None:
+                assert integrate(s, x0[0], 0.1, 20.0).times.size == steps + 1
+
+
+def test_rk4_nan_raises_at_the_reference_step():
+    # NaN compares False under both screens, so the exact guard raises
+    s = SystemInstance(graph=INST5, psi=NAN_TAIL, pi=1.7)
+    X0 = np.array([0.5 * np.ones(5), 0.05 * np.ones(5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert assert_rk4_matches_reference(s, X0, 0.01, 20.0)[0] == "diverged"
+
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(g=instances(), pi=st.floats(0.05, 5.0))
+@example(g=INST5, pi=2.0)  # the origin's marginal level, pi1 = 1 + alpha
+def test_origin_spectrum_by_the_symmetric_solver(g, pi):
+    # J(0) = pi psi'(0) A2 - D is symmetric bit for bit, so the symmetric
+    # solver's top eigenvalue is the general one's up to rounding on the
+    # matrix's scale, with the same label; the grid search's origin record
+    # is the symmetric one
+    psi = hd.tanh_family()
+    j = jacobian(SystemInstance(graph=g, psi=psi, pi=pi), np.zeros(g.n))
+    assert np.array_equal(j, j.T)
+    general, symmetric = (equilibria._classify_rows(g, psi, [pi], np.zeros((1, g.n)), [0.0],
+                                                    symmetric=flag)[0] for flag in (False, True))
+    scale = pi * g.a2.max() + g.degrees.max()
+    assert abs(general.max_real_eig - symmetric.max_real_eig) <= 1e-12 * scale
+    assert general.classification == symmetric.classification
+    assert equilibria_csv(_search_grid(g, psi, [pi])[0][:1]) == equilibria_csv([symmetric])
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=instances())
