@@ -10,7 +10,6 @@ as its stability change.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,13 +97,12 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
         raise ValueError(f"pi_grid must be a non-empty one-dimensional grid, got shape {grid.shape}")
     if not (np.all(np.diff(grid) > 0.0) and 0.0 < grid[0] and grid[-1] < np.inf):
         raise ValueError("pi_grid must be finite, positive and strictly increasing")
-    s = SystemInstance(graph=g, psi=psi, pi=float(grid[-1]))
 
     per_pi = _search_grid(g, psi, grid)
     recs = [eq for eqs in per_pi for eq in eqs]
     at = [ids.tolist() for ids in np.split(np.arange(len(recs)),
                                            np.cumsum([len(eqs) for eqs in per_pi])[:-1])]
-    nxt, near = _successors(s, grid, recs, at)
+    nxt, near = _successors(g, psi, grid, recs, at)
 
     branches: list[BifurcationBranch] = []
     active: list[tuple] = []  # (branch, record at its tip)
@@ -138,20 +136,21 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
 
 
 @_blas_pin
-def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
-    """Continue every record below the last level one level up: a step from
-    x at level a to b predicts x + (b - a) dx/dpi, dx/dpi = -J^-1 (D x / pi)
-    (0 for a singular J), and corrects it by Newton at b. It stands when the
-    step back returns to x, and is halved otherwise; a branch ends where
-    Newton fails or a half is no new level. Returns ``nxt``, the first record
-    each record's last step matches (``_same_equilibrium``), and ``near``,
-    the sup distance of that step's prediction to it. A state that matches
-    no record is a search miss, kept as a record (``recs``, ``at``) and
-    continued. The origin, whose tangent is +-0, lands on the next level's
+def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list, at: list):
+    """Continue every record of ``recs`` below the last grid level one level
+    up (``at[t]`` lists level t's records): a step from x at level a to b
+    predicts x + (b - a) dx/dpi, dx/dpi = -J^-1 (D x / pi) (0 for a singular
+    J), and corrects it by Newton at b. It stands when the step back returns
+    to x, and is halved otherwise; a branch ends where Newton fails or a half
+    is no new level. Returns ``nxt``, the first record of ``at[t]`` that each
+    record's last step, to level t, matches (``_same_equilibrium``), and
+    ``near``, the sup distance of that step's prediction to it. A round's
+    arrivals are matched one at a time in level order: one that matches no
+    record is a search miss, kept as a new record that later arrivals can
+    match, and continued. The origin, whose tangent is +-0, lands on the next level's
     first record, the origin, at distance 0.0 without a step. A round runs
     one Newton stack per ``_chunks`` range of its steps, and one for the
     steps back, in turn, with BLAS on one thread (``_blas_pin``)."""
-    g, psi = s.graph, s.psi
     nxt, near = {}, {}
     # steps: (record, state, level from, level to, index of the next grid level)
     todo, fresh = [], [(r, k) for k, ids in enumerate(at) for r in ids]
@@ -165,8 +164,8 @@ def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
         for a, b in _chunks(np.ones(len(todo), dtype=int), g.n):
             part = todo[a:b]
             X, lo, hi = (np.array([w[j] for w in part]) for j in (1, 2, 3))
-            y, res, pred, ok = _step(s, X, lo[:, None], hi[:, None])
-            back, _, _, back_ok = _step(s, y[ok], hi[ok, None], lo[ok, None])
+            y, res, pred, ok = _step(g, psi, X, lo[:, None], hi[:, None])
+            back, _, _, back_ok = _step(g, psi, y[ok], hi[ok, None], lo[ok, None])
             stands = ok.copy()
             stands[ok] = back_ok & _same_equilibrium(back, X[ok])
             for i, (r, x, a_pi, b_pi, t) in enumerate(part):
@@ -176,30 +175,27 @@ def _successors(s: SystemInstance, grid: np.ndarray, recs: list, at: list):
                     arrived.append((t, r, y[i], res[i], pred[i]))
                 elif ok[i] and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
                     pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
-        for t, group in itertools.groupby(sorted(arrived, key=lambda w: w[0]), lambda w: w[0]):
-            group, known = list(group), len(at[t])
-            same = _same_equilibrium(np.array([w[2] for w in group])[:, None],
-                                     np.array([recs[q].state for q in at[t]]))
-            for (_, r, y, res, pred), row in zip(group, same):
-                hit = at[t][row.argmax()] if row.any() else next(
-                    (q for q in at[t][known:] if _same_equilibrium(y, recs[q].state)), None)
-                if hit is None:  # a search miss: a new record of level t
-                    hit = len(recs)
-                    recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
-                    at[t].append(hit)
-                    fresh.append((hit, t))
-                nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
+        for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
+            same = _same_equilibrium(y, np.array([recs[q].state for q in at[t]]))
+            if same.any():
+                hit = at[t][same.argmax()]
+            else:  # a search miss: a new record of level t
+                hit = len(recs)
+                recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
+                at[t].append(hit)
+                fresh.append((hit, t))
+            nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
         todo = pending
     return nxt, near
 
 
-def _step(s: SystemInstance, X: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _step(g: Hypergraph2, psi: SigmoidFamily, X: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Newton at the levels ``b`` (m, 1) from the tangent predictions of the
     equilibria ``X`` (m, n) at the levels ``a`` (dF/dpi = D x / pi there):
     states, residuals, predictions and which rows converged."""
-    tangent, _ = _solve_rows(_jacobian(s.graph, s.psi, a, X), -s.graph.degrees * X / a)
+    tangent, _ = _solve_rows(_jacobian(g, psi, a, X), -g.degrees * X / a)
     pred = X + (b - a) * tangent
-    x, res, cause = _newton_rows(s, pred, b)
+    x, res, cause = _newton_rows(g, psi, pred, b)
     return x, res, pred, cause == "converged"
 
 

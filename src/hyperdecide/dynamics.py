@@ -3,17 +3,16 @@
 Agent i relaxes toward the effort-weighted influence it receives: pairwise
 terms push with the transmitted states of its neighbors, 2-interaction terms
 with products of transmitted states over its weighted pairs. Field and
-Jacobian take one state (n,) or a stack of states (m, n), row by row. The
-integrator is classical 4th-order Runge-Kutta with a fixed step, run on a
-stack of starts (``_rk4_rows``) whose rows advance together; ``integrate``
-is its one-state case. The start is checked once, the field is bound once
-per run (``_field_of``), and the stages call it with 0-d factors, the same
-bits as Python floats. Each row stops once its field residual drops below
-tolerance, and the run aborts when a row passes max(1e6, 10 pi,
-10 |x0|_inf) in magnitude or turns NaN. A lone row screens both tests by
-dot products, which settle only the cases far from a threshold, so the
-exact tests still make every decision. Every row's result is bitwise the
-run from that start alone.
+Jacobian take one state (n,) or a stack of states (m, n), row by row.
+
+The numerical kernels take (graph, transmission, ..., levels), ``pi`` one
+level or a column (m, 1) of per-row levels: ``_field_of(g, psi)`` gives
+``field(x, pi)``, ``_jacobian`` is ``(g, psi, pi, x)``, and the Newton and
+continuation kernels of ``equilibria`` and ``bifurcation`` follow. Only the
+public API builds and checks a ``SystemInstance``. The integrator is
+classical 4th-order Runge-Kutta with a fixed step, run on a stack of starts
+(``_rk4_rows``) whose rows advance together, each bitwise the run from that
+start alone; ``integrate`` is its one-state case.
 """
 from __future__ import annotations
 
@@ -105,16 +104,15 @@ def _one_state(s: SystemInstance, x) -> np.ndarray:
     return x
 
 
-def _field_of(g: Hypergraph2, psi: SigmoidFamily, pi):
-    """The field at effort ``pi`` as a function of a state (n,) or a stack
-    (m, n); ``pi`` is one level or a column (m, 1) of per-row levels, which
-    gives every row the arithmetic of its own level. What the field reads is
-    bound here once, so a run that calls it four times a step looks nothing
-    up per call."""
+def _field_of(g: Hypergraph2, psi: SigmoidFamily):
+    """The field ``field(x, pi)`` at a state (n,) or a stack (m, n), ``pi``
+    one level or a column (m, 1) of per-row levels, each row with the
+    arithmetic of its own level. What it reads is bound here once, so a run
+    that calls it four times a step looks nothing up per call."""
     evaluate, a2, dot, degrees = psi.eval, g.a2, g.a2.dot, g.degrees
     triple_term = _triple_term_of(g)
 
-    def field(x):
+    def field(x, pi):
         p = evaluate(x)
         # one matrix-vector product per row: a matrix product would give a row
         # different last bits depending on the stack height. For one state,
@@ -124,15 +122,9 @@ def _field_of(g: Hypergraph2, psi: SigmoidFamily, pi):
     return field
 
 
-def _field(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
-    """The field at effort ``pi`` for a state (n,) or a stack (m, n), as
-    ``_field_of``."""
-    return _field_of(g, psi, pi)(x)
-
-
 def _jacobian(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarray:
     """The Jacobian at effort ``pi``, one level or a column (m, 1) of per-row
-    levels for a stack (m, n), as ``_field``."""
+    levels for a stack (m, n), as the field of ``_field_of``."""
     p = psi.eval(x)
     dp = psi.deriv(x)
     # pi (a2 + 2 b @ p) dp, scaled in place: no stack-sized temporaries
@@ -147,7 +139,7 @@ def _jacobian(g: Hypergraph2, psi: SigmoidFamily, pi, x: np.ndarray) -> np.ndarr
 
 def vector_field(s: SystemInstance, x) -> np.ndarray:
     """Time derivative of a state (n,), or of every row of a stack (m, n)."""
-    return _field(s.graph, s.psi, s.pi, _check_state(s, x))
+    return _field_of(s.graph, s.psi)(_check_state(s, x), s.pi)
 
 
 def jacobian(s: SystemInstance, x) -> np.ndarray:
@@ -187,8 +179,8 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     same steps. The screens run only where the squares cannot overflow.
 
     The history grows by each step's live rows; it is never preallocated,
-    and a step count above ``_MAX_RK4_STEPS`` is refused before the first
-    step.
+    and a step count round(t_max / dt) of 0 or above ``_MAX_RK4_STEPS`` is
+    refused before the first step.
     """
     if dt <= 0.0 or t_max <= 0.0:
         raise ValueError("dt and t_max must be positive")
@@ -201,6 +193,8 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     if n_steps > _MAX_RK4_STEPS:
         raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} gives {n_steps} steps; at most "
                          f"{_MAX_RK4_STEPS} are allowed")
+    if n_steps < 1:
+        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} gives no step; at least 1 is needed")
     m, n = x.shape
     if not m:
         return []
@@ -223,14 +217,14 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
     stop_sq = n * RESIDUAL_TOL * RESIDUAL_TOL * (1.0 + margin)
     if m == 1:
         x = x[0]
-    field = _field_of(s.graph, s.psi, np.array(s.pi))
+    field, pi = _field_of(s.graph, s.psi), np.array(s.pi)
     half, full, sixth, two = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0), np.array(2.0)
     hist = [x]
     cuts = [(0, live)]  # (first history index, rows stored from there on)
     for k in range(n_steps):
         if not (screen and x.dot(x) < guard_sq) and not np.abs(x).max() <= floor:
             _check_guard(x, limit, k * dt)
-        k1 = field(x)
+        k1 = field(x, pi)
         if not (screen and k1.dot(k1) >= stop_sq):
             res = np.abs(k1).max(axis=-1)
             done = res < RESIDUAL_TOL
@@ -247,14 +241,14 @@ def _rk4_rows(s: SystemInstance, X0, dt: float = DT, t_max: float = T_MAX) -> li
                 floor = float(limit.min())
                 guard_sq = floor * floor * (1.0 - margin)
                 cuts.append((len(hist), live))
-        k2 = field(x + half * k1)
-        k3 = field(x + half * k2)
-        k4 = field(x + full * k3)
+        k2 = field(x + half * k1, pi)
+        k3 = field(x + half * k2, pi)
+        k4 = field(x + full * k3, pi)
         x = x + sixth * (k1 + two * k2 + two * k3 + k4)
         hist.append(x)
     if live.size:  # rows that reached t_max
         _check_guard(x, limit, t_max)
-        residual[live] = np.abs(field(x)).max(axis=-1)
+        residual[live] = np.abs(field(x, pi)).max(axis=-1)
     pieces = [[] for _ in range(m)]
     for (a, rows), b in zip(cuts, [c for c, _ in cuts[1:]] + [len(hist)]):
         block = np.stack(hist[a:b]).reshape(b - a, rows.size, n)

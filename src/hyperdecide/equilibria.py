@@ -13,9 +13,12 @@ psi' and 1 + 2 alpha psi shrink as c decreases, so gap' changes sign at most
 once there; with gap(0) = 0 and gap(-max(50, 2 pi)) > 0 the negative side
 holds exactly one root when pi > 1 + alpha and none otherwise.
 General equilibria are found by damped Newton (``_newton_rows``) from one
-fixed seed rule and classified by the spectrum of the Jacobian. The seeds of
-many levels advance together as one (m, n) stack, each row at its own level:
-a grid search runs chunks of whole levels of at most 1e5 / n^2 rows, and
+fixed seed rule and classified by the spectrum of the Jacobian. The kernels
+take (graph, transmission, ..., levels), as in ``dynamics``; only the public
+functions build a ``SystemInstance``, and ``_search_grid`` refuses a level
+that no instance takes before any level runs. The seeds of many levels
+advance together as one (m, n) stack, each row at its own level: a grid
+search runs chunks of whole levels of at most 1e5 / n^2 rows, and
 ``find_all`` is its one-level case. The origin is an equilibrium at every
 level, since psi(0) = 0: each level's first record is +0.0 at residual 0,
 taken without Newton, and the search drops the states it finds within 1e-6
@@ -29,16 +32,10 @@ every consensus equilibrium but the origin. Without one they are c * ones
 for c in +-linspace(0, pi + 1, 11). The roots of all levels come from one
 array bisection, each element following the scalar loop, so every level's
 seed count is known before any stack exists; each chunk's seeds are built
-in one pass, bitwise the per-level rule. Where
-every chunk is a single level (one level's stack alone fills the budget,
-as at n = 120) and at least two CPUs are usable, the chunks run on that
-many threads, at most one per chunk: their n^2 and n^3 kernels release the
-GIL. A search runs with numpy's OpenBLAS pinned to one thread through
-``ctypes`` (``_blas_pin``), so its bytes do not depend on the caller's BLAS
-thread count; where no pin symbol is found the search stays serial and the
-last bits of a solve may follow that count. Two states
-are the same equilibrium when they lie within sup distance
-max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
+in one pass, bitwise the per-level rule. Single-level chunks run on
+threads, and a search pins numpy's OpenBLAS to one thread (``_search_grid``,
+``_blas_pin``). Two states are the same equilibrium when they lie within
+sup distance max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
 (``_same_equilibrium``); the sweep's threading uses the same test.
 """
 from __future__ import annotations
@@ -56,12 +53,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, NewtonDivergence, SingularJacobian
-from .hypergraph import Hypergraph2, _triple_term
+from .hypergraph import Hypergraph2, _triple_term_of
 from .nonlinearity import SigmoidFamily, tanh_family, verify_assumptions
 # jacobian and general_eigenvalues are not called here; benchmarks/tracing.py
 # binds them by these names
-from .dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian, _one_state,
-                       jacobian, vector_field)
+from .dynamics import (RESIDUAL_TOL, SystemInstance, _field_of, _jacobian, _one_state, jacobian,
+                       vector_field)
 from .spectra import general_eigenvalues, perron_pair
 
 __all__ = [
@@ -333,11 +330,11 @@ def _solve_rows(j: np.ndarray, rhs: np.ndarray):
         return x, solved
 
 
-def _newton_rows(s: SystemInstance, X0, pi=None):
+def _newton_rows(g: Hypergraph2, psi: SigmoidFamily, X0, pi):
     """Damped Newton from every row of ``X0`` (m, n) in lockstep, each row
     following the iteration it would follow alone until it is done. Row r
-    runs at effort ``pi[r]`` when the levels (m,) are given, at ``s.pi``
-    otherwise; ``s`` gives the network and the transmission. Returns
+    runs at effort ``pi[r]`` of the levels ``pi`` (m,), on the network ``g``
+    with the transmission ``psi``; the field is bound once a call. Returns
     states, residuals and causes: 'converged', 'diverged' (a component past
     max(1e12, 10 pi), or 100 iterations), 'singular' or 'stalled' (no damping
     helps); the last two count as converged below 1e-10. A row polishes
@@ -353,11 +350,11 @@ def _newton_rows(s: SystemInstance, X0, pi=None):
     takes its first trial that improves, and only rows that neither improved
     nor stood still go on to the next block. That is the sequential loop's
     outcome, bit for bit, since a field row does not depend on the stack."""
-    g, psi = s.graph, s.psi
-    x = np.array(_check_state(s, X0), dtype=float)
-    pi = np.full((len(x), 1), s.pi, dtype=float) if pi is None else np.reshape(pi, (-1, 1))
+    field = _field_of(g, psi)
+    x = np.array(X0, dtype=float)
+    pi = np.reshape(pi, (-1, 1))
     limit = np.maximum(_NEWTON_BLOWUP, 10.0 * pi[:, 0])
-    fx = _field(g, psi, pi, x)
+    fx = field(x, pi)
     res = np.abs(fx).max(axis=1)
     step_inf = np.full(len(x), np.inf)
     cause = np.full(len(x), "diverged", dtype=object)
@@ -376,7 +373,7 @@ def _newton_rows(s: SystemInstance, X0, pi=None):
         step_inf[live] = np.abs(step).max(axis=1)
         x_l, r_l, pi_l = x[live], res[live], pi[live]
         x_new = x_l + step
-        f_new = _field(g, psi, pi_l, x_new)
+        f_new = field(x_new, pi_l)
         r_new = np.abs(f_new).max(axis=1)
         moved = (x_new != x_l).any(axis=1)
         better = moved & (r_new < r_l)
@@ -393,7 +390,7 @@ def _newton_rows(s: SystemInstance, X0, pi=None):
             if not rows.size:
                 break
             trial = trial[rows, cols]
-            f_t = _field(g, psi, pi_l[pending[rows]], trial)
+            f_t = field(trial, pi_l[pending[rows]])
             r_t = np.abs(f_t).max(axis=1)
             hit = np.zeros(go.shape, dtype=bool)
             hit[rows, cols] = r_t < r_l[pending[rows]]
@@ -415,7 +412,7 @@ def _newton_rows(s: SystemInstance, X0, pi=None):
 def _newton_raw(s: SystemInstance, x0):
     """Damped Newton from one state: (state, residual), or NewtonDivergence or
     SingularJacobian."""
-    x, res, cause = _newton_rows(s, _one_state(s, x0)[None])
+    x, res, cause = _newton_rows(s.graph, s.psi, _one_state(s, x0)[None], [s.pi])
     if cause[0] == "singular":
         raise SingularJacobian(f"singular Jacobian at residual {res[0]:.3e}")
     if cause[0] != "converged":
@@ -611,9 +608,8 @@ def _search_chunk(g: Hypergraph2, psi: SigmoidFamily, pis: np.ndarray, sizes,
     origin deduplicated in seed order by ``_same_equilibrium`` and sorted by
     sup norm, then by the components, all levels in one array pass; the
     whole chunk classified at once."""
-    s = SystemInstance(graph=g, psi=psi, pi=float(pis[0]))
     levels = np.repeat(np.arange(pis.size), sizes)
-    xs, ress, causes = _newton_rows(s, seeds, pis[levels])
+    xs, ress, causes = _newton_rows(g, psi, seeds, pis[levels])
     # the origin's dedup distance is max(1e-6, 1e-12 * 0): a row below it in
     # sup norm is the origin
     new = (causes == "converged") & ~(np.abs(xs).max(axis=1) < _DEDUP_TOL)
@@ -667,7 +663,7 @@ def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> t
     lam, v, w = perron_pair(g)
     level = 1.0 / lam
     wd = w / g.degrees
-    quad = float(level * np.sum(wd * _triple_term(g, v)))
+    quad = float(level * np.sum(wd * _triple_term_of(g)(v)))
     h = 2.0 ** -26
     third = float(psi.deriv2(np.array(h)) - psi.deriv2(np.array(-h))) / (2.0 * h)
     return third / 6.0 * level * float(wd @ (g.a2 @ v ** 3)), quad

@@ -175,12 +175,6 @@ def _triple_term_of(g: Hypergraph2):
     return term
 
 
-def _triple_term(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
-    """sum_jk b[i, j, k] p_j p_k for every agent i, for one state p (n,) or
-    every row of a stack (m, n)."""
-    return _triple_term_of(g)(p)
-
-
 def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
     """b @ p, (n, n) or (m, n, n): row i is agent i's 2-interaction mass against
     p (n,), or against each row of a stack p (m, n)."""

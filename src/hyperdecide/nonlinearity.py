@@ -40,20 +40,27 @@ class SigmoidFamily:
     integral: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def make_family(eval, deriv, deriv2, name, integral=None) -> SigmoidFamily:
-    """Build a family after checking the origin conditions.
+def _origin_conditions(f: SigmoidFamily) -> tuple[float, float, bool, bool]:
+    """f(0), f'(0) and whether f(0) = 0 exactly (the solvers take the origin
+    as an equilibrium at every effort) and f'(0) = 1 within 1e-12."""
+    v0, d0 = float(f.eval(np.array(0.0))), float(f.deriv(np.array(0.0)))
+    return v0, d0, v0 == 0.0, abs(d0 - 1.0) < 1e-12
 
-    Requires eval(0) == 0 and deriv(0) == 1 within 1e-12. Families built by
-    hand (plain ``SigmoidFamily(...)``) skip this gate, which is what
+
+def make_family(eval, deriv, deriv2, name, integral=None) -> SigmoidFamily:
+    """Build a family after checking the origin conditions of the ``odd``
+    and ``unit_slope`` clauses of ``verify_assumptions``: eval(0) == 0 exactly
+    and deriv(0) == 1 within 1e-12. Families built by hand (plain
+    ``SigmoidFamily(...)``) skip this gate, which is what
     ``verify_assumptions`` needs in order to report on broken candidates.
     """
-    v0 = float(eval(np.array(0.0)))
-    d0 = float(deriv(np.array(0.0)))
-    if abs(v0) > 1e-12:
+    family = SigmoidFamily(eval, deriv, deriv2, name, integral)
+    v0, d0, vanishes, unit_slope = _origin_conditions(family)
+    if not vanishes:
         raise ValueError(f"transmission function must vanish at 0, got {v0!r}")
-    if abs(d0 - 1.0) > 1e-12:
+    if not unit_slope:
         raise ValueError(f"transmission slope at 0 must be 1, got {d0!r}")
-    return SigmoidFamily(eval, deriv, deriv2, name, integral)
+    return family
 
 
 def _tanh_deriv(x):
@@ -131,15 +138,12 @@ def verify_assumptions(f: SigmoidFamily) -> AssumptionReport:
 
     clauses = []
 
-    # f(0) = 0 exactly: the solvers take the origin as an equilibrium at every effort
-    f0 = float(f.eval(np.array(0.0)))
+    f0, d0, vanishes, unit_slope = _origin_conditions(f)
     odd_dev = np.abs(fx + fx[::-1])
     i = int(np.argmax(odd_dev))
-    worst = (float(x[i]), float(odd_dev[i])) if f0 == 0.0 else (0.0, f0)
-    clauses.append(ClauseCheck("odd", f0 == 0.0 and bool(odd_dev[i] < 1e-12), *worst))
-
-    d0 = float(f.deriv(np.array(0.0)))
-    clauses.append(ClauseCheck("unit_slope", abs(d0 - 1.0) < 1e-12, 0.0, d0))
+    worst = (float(x[i]), float(odd_dev[i])) if vanishes else (0.0, f0)
+    clauses.append(ClauseCheck("odd", vanishes and bool(odd_dev[i] < 1e-12), *worst))
+    clauses.append(ClauseCheck("unit_slope", unit_slope, 0.0, d0))
 
     i = int(np.argmin(dfx))
     clauses.append(ClauseCheck("monotone", bool(dfx[i] > 0.0),

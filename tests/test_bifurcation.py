@@ -124,7 +124,6 @@ def _sub_step_route(g, psi, x, a, b, parts=10):
     """Continue the equilibria ``x`` (m, n) at the levels ``a`` (m,) to the
     levels ``b`` through ``parts`` equal sub-steps, each a prediction along
     the tangent -J^-1 (D x / pi) and a Newton correction."""
-    s = SystemInstance(graph=g, psi=psi, pi=float(b.max()))
     for i in range(parts):
         lo, hi = (a + (b - a) * i / parts)[:, None], (a + (b - a) * (i + 1) / parts)[:, None]
         j, rhs = dynamics._jacobian(g, psi, lo, x), -g.degrees * x / lo
@@ -132,7 +131,7 @@ def _sub_step_route(g, psi, x, a, b, parts=10):
         for r in range(len(x)):
             with contextlib.suppress(np.linalg.LinAlgError):  # singular: no tangent
                 tangent[r] = np.linalg.solve(j[r], rhs[r])
-        x, _, cause = equilibria._newton_rows(s, x + (hi - lo) * tangent, hi[:, 0])
+        x, _, cause = equilibria._newton_rows(g, psi, x + (hi - lo) * tangent, hi[:, 0])
         assert (cause == "converged").all()
     return x
 
@@ -228,6 +227,24 @@ def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
     assert diagram_csv(sweep(inst5, tanh, grid)) == chunked
 
 
+def test_two_arrivals_at_one_search_miss_make_one_record(inst5, tanh):
+    # the upper consensus record of 1.7 listed twice, and 1.75 holding only
+    # its origin: both steps arrive at the same missing state in one round;
+    # the first becomes a new record of 1.75 and the second matches it
+    grid = np.array([1.7, 1.75])
+    low, high = (hd.find_all(SystemInstance(graph=inst5, psi=tanh, pi=pi)) for pi in grid)
+    upper = max(low, key=lambda eq: eq.norm_inf)
+    assert upper.is_consensus and upper.norm_inf > 1.0
+    recs, at = [low[0], upper, upper, high[0]], [[0, 1, 2], [3]]
+    nxt, near = bifurcation._successors(inst5, tanh, grid, recs, at)
+    assert len(recs) == 5 and at == [[0, 1, 2], [3, 4]]
+    assert nxt == {0: 3, 1: 4, 2: 4}
+    assert near[0] == 0.0 and near[1] == near[2]
+    new = recs[4]
+    assert new.pi == 1.75 and new.classification == "stable"
+    assert equilibria._same_equilibrium(new.state, max(high, key=lambda eq: eq.norm_inf).state)
+
+
 def test_default_sweep_work_counts(inst5, tanh, monkeypatch):
     # Newton rows of the grid search and continuation steps of the default
     # inst5 sweep: the 199 levels below 1 are not searched, a zero seed takes
@@ -243,13 +260,13 @@ def test_default_sweep_work_counts(inst5, tanh, monkeypatch):
         finally:
             searching.pop()
 
-    def newton(s, X0, pi=None):
+    def newton(g, psi, X0, pi):
         rows["search"] += len(X0) if searching else 0
-        return newton_rows(s, X0, pi)
+        return newton_rows(g, psi, X0, pi)
 
-    def stepped(s, X, a, b):
+    def stepped(g, psi, X, a, b):
         rows["step"] += len(X)
-        return step(s, X, a, b)
+        return step(g, psi, X, a, b)
 
     monkeypatch.setattr(bifurcation, "_search_grid", grid)
     monkeypatch.setattr(equilibria, "_newton_rows", newton)

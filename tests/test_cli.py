@@ -186,6 +186,17 @@ def test_simulate_divergence_exit_code(inst_file, tmp_path):
     assert rc == 1
 
 
+def test_simulate_refuses_a_step_count_of_zero(inst_file, tmp_path, capsys):
+    # t_max / dt = 1 / 3 rounds to no step: a runtime failure with exit 1,
+    # as the step cap, and neither a trajectory nor a manifest
+    out = tmp_path / "out"
+    assert run(["simulate", inst_file, "--pi", "1.7", "--dt", "3", "--t-max", "1",
+                "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "gives no step; at least 1 is needed" in err and "Traceback" not in err
+    assert not any(out.glob("*"))
+
+
 def test_simulate_from_a_start_above_the_guard_floor(inst_file, tmp_path):
     assert run(["simulate", inst_file, "--pi", "1", "--x0", "consensus:2e6",
                 "--out-dir", str(tmp_path)]) == 0

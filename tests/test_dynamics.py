@@ -118,13 +118,13 @@ def _counted_fields(monkeypatch):
     counts = [0, []]
     field_of = dynamics._field_of
 
-    def counted_field_of(g, psi, pi):
+    def counted_field_of(g, psi):
         counts[0] += 1
-        field = field_of(g, psi, pi)
+        field = field_of(g, psi)
 
-        def counted(x):
+        def counted(x, pi):
             counts[1].append(x.shape)
-            return field(x)
+            return field(x, pi)
         return counted
 
     monkeypatch.setattr(dynamics, "_field_of", counted_field_of)
@@ -144,6 +144,27 @@ def test_integrate_refuses_a_step_count_past_the_cap(inst5, tanh, monkeypatch):
     # the cap itself runs; the origin is stationary, which stops it at step 0
     assert integrate(s, np.zeros(5), dt=1.0, t_max=float(cap)).states.shape == (1, 5)
     assert counts == [1, [(5,)]]
+
+
+def test_rk4_refuses_a_step_count_of_zero(inst5, tanh, monkeypatch):
+    # dt > 2 t_max rounds t_max / dt to 0 steps: refused before any step, for
+    # one state, a stack and a sup-norm report alike; no field is bound
+    s = _sys(inst5, 1.7, tanh)
+    counts = _counted_fields(monkeypatch)
+    message = r"t_max / dt = 1 / 3 gives no step; at least 1 is needed"
+    with pytest.raises(ValueError, match=message):
+        integrate(s, np.ones(5), dt=3.0, t_max=1.0)
+    with pytest.raises(ValueError, match=message):
+        _rk4_rows(s, np.ones((3, 5)), dt=3.0, t_max=1.0)
+    for x0 in (np.ones(5), np.ones((2, 5))):  # 0.4 of the default step
+        with pytest.raises(ValueError, match=r"0.004 / 0.01 gives no step"):
+            sup_norm_report(s, x0, t_max=0.004)
+    # half a step rounds to even, 0 steps
+    with pytest.raises(ValueError, match="gives no step"):
+        integrate(s, np.ones(5), dt=2.0, t_max=1.0)
+    assert counts == [0, []]
+    # 0.6 of a step rounds to one
+    assert integrate(s, np.ones(5), dt=1.0, t_max=0.6).times.tolist() == [0.0, 1.0]
 
 
 def test_rk4_field_calls_are_four_per_step_plus_one(inst5, tanh, monkeypatch):

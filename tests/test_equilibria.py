@@ -293,7 +293,7 @@ def test_newton_rows_follow_the_one_row_iteration(graph, pi, seed, m, scale):
     g = _ROW_GRAPHS[graph]
     s = SystemInstance(graph=g, psi=hd.tanh_family(), pi=pi)
     starts = scale * np.random.default_rng(seed).uniform(-(pi + 1.0), pi + 1.0, (m, g.n))
-    states, residuals, causes = _newton_rows(s, starts)
+    states, residuals, causes = _newton_rows(g, s.psi, starts, np.full(m, pi))
     for x0, x, res, cause in zip(starts, states, residuals, causes):
         ref, ref_cause = _one_seed_newton(s, x0)
         assert cause == ref_cause
@@ -325,7 +325,8 @@ def test_failing_seeds_keep_the_other_equilibria(inst5, tanh, monkeypatch):
         return j
 
     monkeypatch.setattr(equilibria, "_jacobian", singular_at_marker)
-    _, _, causes = _newton_rows(s, [diverging, singular, np.zeros(5), 2.0 * np.ones(5)])
+    _, _, causes = _newton_rows(inst5, tanh, [diverging, singular, np.zeros(5), 2.0 * np.ones(5)],
+                                np.full(4, s.pi))
     assert list(causes) == ["diverged", "singular", "converged", "converged"]
     with pytest.raises(SingularJacobian):
         _newton_raw(s, singular)
@@ -675,10 +676,10 @@ UNSUITABLE = {
         deriv2=lambda x: (-2.0 * np.tanh(x) * (1.0 - np.tanh(x) ** 2)
                           + 0.4 * (6.0 * x - 56.0 * x ** 3 + 64.0 * x ** 5) * _BUMP(x)),
         name="bumped-tanh"),
-    # tanh(x) + 1e-13: within make_family's origin gate and odd to 1e-12,
-    # but psi(0) != 0, so the origin is no equilibrium
-    "odd": hd.make_family(lambda x: np.tanh(x) + 1e-13, hd.tanh_family().deriv,
-                          hd.tanh_family().deriv2, "lifted-tanh"),
+    # tanh(x) + 1e-13: odd to 1e-12, but psi(0) != 0, so the origin is no
+    # equilibrium
+    "odd": hd.SigmoidFamily(lambda x: np.tanh(x) + 1e-13, hd.tanh_family().deriv,
+                            hd.tanh_family().deriv2, "lifted-tanh"),
 }
 
 

@@ -21,7 +21,7 @@ from hyperdecide.errors import (
     ZeroDegreeError,
 )
 from hyperdecide import hypergraph
-from hyperdecide.hypergraph import (_pair_rows, _triple_term, compute_degrees, is_connected,
+from hyperdecide.hypergraph import (_pair_rows, _triple_term_of, compute_degrees, is_connected,
                                     parse_arrays)
 
 
@@ -621,7 +621,7 @@ def test_clean_text_never_takes_the_row_loop(inst5):
 
 def test_contractions_equal_their_one_call_formulas(inst5):
     # bitwise: _pair_rows in row blocks against one bincount over the whole
-    # stack, at heights around the block size; _triple_term's in-place
+    # stack, at heights around the block size; _triple_term_of's in-place
     # products against the one-expression product
     rng = np.random.default_rng(5)
     for g in (inst5, hd.random_instance(12, 0.6, 0.4, 0.7, 3)):
@@ -638,7 +638,7 @@ def test_contractions_equal_their_one_call_formulas(inst5):
                     assert _pair_rows(g, P[0]).tobytes() == whole[0].tobytes()
                 for p in (P, P[0]):
                     pj, pk = p[..., t.term_j], p[..., t.term_k]
-                    assert _triple_term(g, p).tobytes() == np.add.reduceat(
+                    assert _triple_term_of(g)(p).tobytes() == np.add.reduceat(
                         pj * pk * t.term_w, t.term_starts, axis=-1).tobytes()
 
 

@@ -68,6 +68,11 @@ def test_make_family_rejects_bad_origin():
                     deriv=lambda x: 0.5 * (1 - np.tanh(x) ** 2),
                     deriv2=lambda x: -np.tanh(x) * (1 - np.tanh(x) ** 2),
                     name="half")
+    # the odd clause's origin condition, psi(0) = 0 exactly: a family that
+    # make_family accepts is one that find_all and sweep accept at the origin
+    tanh = hd.tanh_family()
+    with pytest.raises(ValueError, match="must vanish at 0, got 1e-13"):
+        make_family(lambda x: np.tanh(x) + 1e-13, tanh.deriv, tanh.deriv2, "lifted-tanh")
 
 
 def test_verify_assumptions_tanh(tanh):
@@ -107,9 +112,9 @@ def test_verify_assumptions_flags_nonmonotone():
 
 
 def test_verify_assumptions_flags_a_nonzero_origin_value(tanh):
-    # f(0) = 1e-13 passes make_family's 1e-12 gate and |f(x) + f(-x)| < 1e-12,
-    # but the origin is then no equilibrium: odd fails, reported at 0
-    f = make_family(lambda x: np.tanh(x) + 1e-13, tanh.deriv, tanh.deriv2, "lifted-tanh")
+    # f(0) = 1e-13 keeps |f(x) + f(-x)| < 1e-12, but the origin is then no
+    # equilibrium: odd fails, reported at 0 (make_family refuses this family)
+    f = hd.SigmoidFamily(lambda x: np.tanh(x) + 1e-13, tanh.deriv, tanh.deriv2, "lifted-tanh")
     report = hd.verify_assumptions(f)
     assert [c.name for c in report.clauses if not c.passed] == ["odd"]
     odd = report.clause("odd")

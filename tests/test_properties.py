@@ -13,13 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hyperdecide as hd
-from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field, _jacobian,
-                                  _rk4_rows, integrate, jacobian, vector_field)
+from hyperdecide.dynamics import (RESIDUAL_TOL, SystemInstance, _check_state, _field_of,
+                                  _jacobian, _rk4_rows, integrate, jacobian, vector_field)
 from hyperdecide.errors import DivergenceError
 from hyperdecide import bifurcation, equilibria
 from hyperdecide.equilibria import (ScalarReduced, _newton_rows, _search_grid, consensus_gap,
                                     consensus_roots, equilibria_csv, find_all, pi1_star)
-from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term
+from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term_of
 from hyperdecide.spectra import thresholds
 
 ORDER_TOL = 1e-12
@@ -61,7 +61,7 @@ def test_triple_contractions_match_einsum(g, seed, m):
     for p in (P, P[0]):
         term = np.einsum("ijk,...j,...k->...i", g.b, p, p)
         scale = np.einsum("ijk,...j,...k->...i", g.b, np.abs(p), np.abs(p))
-        assert np.all(np.abs(_triple_term(g, p) - term) <= CONTRACTION_RTOL * scale)
+        assert np.all(np.abs(_triple_term_of(g)(p) - term) <= CONTRACTION_RTOL * scale)
         rows = np.einsum("ijk,...k->...ij", g.b, p)
         scale = np.einsum("ijk,...k->...ij", g.b, np.abs(p))
         assert np.all(np.abs(_pair_rows(g, p) - rows) <= CONTRACTION_RTOL * scale)
@@ -77,7 +77,7 @@ def test_stacked_rows_equal_one_row_calls(g, pi, seed, m):
     s = SystemInstance(graph=g, psi=hd.tanh_family(), pi=pi)
     X = np.random.default_rng(seed).uniform(-(pi + 1.0), pi + 1.0, (m, g.n))
     P = np.tanh(X)
-    calls = [(lambda x: _triple_term(g, x), P), (lambda x: _pair_rows(g, x), P),
+    calls = [(_triple_term_of(g), P), (lambda x: _pair_rows(g, x), P),
              (lambda x: vector_field(s, x), X), (lambda x: jacobian(s, x), X)]
     for fn, rows in calls:
         alone = [fn(row) for row in rows]
@@ -86,11 +86,11 @@ def test_stacked_rows_equal_one_row_calls(g, pi, seed, m):
             assert all(np.array_equal(stacked[r], alone[r]) for r in range(height))
     # the RK4 stages' call: a 0-d effort, and for one row the .dot branch,
     # against the public field's stacked matmul rows
+    field = _field_of(g, s.psi)
     for height in range(1, m + 1):
         stacked = vector_field(s, X[:height])
-        assert np.array_equal(_field(g, s.psi, np.array(pi), X[:height]), stacked)
-        assert all(np.array_equal(_field(g, s.psi, np.array(pi), X[r]), stacked[r])
-                   for r in range(height))
+        assert np.array_equal(field(X[:height], np.array(pi)), stacked)
+        assert all(np.array_equal(field(X[r], np.array(pi)), stacked[r]) for r in range(height))
 
 
 # transmission that turns NaN past |x| = 1: a row heading there blows up
@@ -103,8 +103,9 @@ def reference_rk4(g, pi, x0, dt, t_max, transmit):
     """A plain one-state RK4 loop in the integrator's arithmetic, written
     out: p = transmit(x), a2.dot(p), one reduceat segment sum per agent of
     p_j p_k w, 0-d effort and step factors, and the guard and the residual
-    stop on abs-max tests. (times, states, converged, final residual), or
-    (step, DivergenceError message) of a run that passes its guard."""
+    stop on abs-max tests. (times, states, converged, final residual),
+    (step, DivergenceError message) of a run that passes its guard, or the
+    ValueError message of a step count round(t_max / dt) of 0."""
     t = g.triples
     pi, half, full, sixth, two = (np.array(v) for v in (pi, 0.5 * dt, dt, dt / 6.0, 2.0))
 
@@ -115,6 +116,8 @@ def reference_rk4(g, pi, x0, dt, t_max, transmit):
 
     limit = max(1e6, 10.0 * float(pi), 10.0 * float(np.abs(x0).max()))
     n_steps = int(round(t_max / dt))
+    if not n_steps:
+        return f"t_max / dt = {t_max:g} / {dt:g} gives no step; at least 1 is needed"
     x, states = x0, [x0]
     for k in range(n_steps):
         if not np.abs(x).max() <= limit:
@@ -138,12 +141,22 @@ def assert_rk4_matches_reference(s, X0, dt, t_max):
     """``integrate`` from every row of ``X0`` and every row of one
     ``_rk4_rows`` stack, bit for bit against ``reference_rk4``; a stack
     with a diverging row raises the message of the row that diverges first
-    (the lowest row at that step). The outcome of each row: "converged",
-    "t_max" or "diverged"."""
+    (the lowest row at that step); a step count of 0 is refused by both
+    with the reference's message. The outcome of each row: "converged",
+    "t_max", "diverged" or "refused"."""
     refs = [reference_rk4(s.graph, s.pi, x0, dt, t_max, s.psi.eval) for x0 in X0]
+    if isinstance(refs[0], str):
+        for x0 in X0:
+            with pytest.raises(ValueError) as err:
+                integrate(s, x0, dt, t_max)
+            assert str(err.value) == refs[0]
+        with pytest.raises(ValueError) as err:
+            _rk4_rows(s, X0, dt, t_max)
+        assert str(err.value) == refs[0]
+        return ["refused"] * len(X0)
 
     def assert_same(run, ref):
-        # repr: a run of no steps can end on a NaN residual
+        # repr: the same residual bits, NaN included
         assert (run.converged, repr(run.final_residual)) == (ref[2], repr(ref[3]))
         assert run.times.tobytes() == ref[0].tobytes()
         assert run.states.shape == ref[1].shape and run.states.tobytes() == ref[1].tobytes()
@@ -206,13 +219,16 @@ def rk4_instances(draw):
          t_max=20.0, nan_tail=False)
 # rows that stop at step 0, reach t_max and turn NaN at t = 0.1
 @example(g=INST5, pi=1.7, seed=0, scales=[0.0, 0.05, 3.0], dt=0.1, t_max=20.0, nan_tail=True)
+# dt > 2 t_max: round(t_max / dt) is 0 steps, refused by both paths
+@example(g=INST5, pi=1.7, seed=0, scales=[0.0, 3.0], dt=3.0, t_max=1.0, nan_tail=True)
 def test_rk4_rows_equal_one_state_runs(g, pi, seed, scales, dt, t_max, nan_tail):
     # bitwise against the reference loop, on instances with one term entry
     # per agent, several, or agents without triples, whether a row stops at
     # step 0, stops later, reaches t_max or, at the larger steps, leaves
     # RK4's stability region and passes its guard; a 2e6 start has a guard
     # of its own (2e7); the stack raises exactly when one of its rows alone
-    # does, with that row's message
+    # does, with that row's message; dt > 2 t_max gives no step, which both
+    # refuse
     s = SystemInstance(graph=g, psi=NAN_TAIL if nan_tail else hd.tanh_family(), pi=pi)
     X0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(scales), g.n))
     X0 *= np.array(scales)[:, None]
@@ -637,11 +653,10 @@ def test_newton_leaves_the_zero_seed_in_place(g, levels):
     # the origin record the search puts first at every level without
     # Newton is where Newton leaves a zero start, at drawn levels and at the
     # origin's crossing pi1, where J(0) is singular
-    s = SystemInstance(g, hd.tanh_family(), 1.0)
     levels = np.array(levels + [thresholds(g).pi1])
     for rows in ([[r] for r in range(levels.size)], [list(range(levels.size))]):
         for r in rows:
-            x, res, cause = _newton_rows(s, np.zeros((len(r), g.n)), levels[r])
+            x, res, cause = _newton_rows(g, hd.tanh_family(), np.zeros((len(r), g.n)), levels[r])
             assert x.tobytes() == np.zeros((len(r), g.n)).tobytes()  # +0.0, sign bits too
             assert res.tobytes() == np.zeros(len(r)).tobytes()
             assert cause.tolist() == ["converged"] * len(r)
@@ -655,12 +670,11 @@ def test_the_origin_steps_onto_itself(g, grid):
     # to the next level gives +0.0 there, the step back stands, and the
     # prediction lies at distance 0.0; the origin's branch spans the grid
     psi = hd.tanh_family()
-    s = SystemInstance(g, psi, grid[-1])
     zero = np.zeros((1, g.n))
     for a, b in zip(grid, grid[1:]):
-        y, _, pred, ok = bifurcation._step(s, zero, np.array([[a]]), np.array([[b]]))
+        y, _, pred, ok = bifurcation._step(g, psi, zero, np.array([[a]]), np.array([[b]]))
         assert ok.tolist() == [True] and y.tobytes() == zero.tobytes()
-        back, _, _, back_ok = bifurcation._step(s, y, np.array([[b]]), np.array([[a]]))
+        back, _, _, back_ok = bifurcation._step(g, psi, y, np.array([[b]]), np.array([[a]]))
         assert back_ok.tolist() == [True] and equilibria._same_equilibrium(back, zero).all()
         assert np.abs(pred - zero).max() == 0.0
     origin = hd.sweep(g, psi, grid).branches[0]
@@ -776,7 +790,7 @@ def test_chunk_dedup_equals_the_seed_order_scan(stack):
     xs, causes, sizes = stack
     g = hd.random_instance(xs.shape[1], 0.8, 0.5, 0.0, 0)
     pis = 1.0 + np.arange(len(sizes))
-    newton = lambda s, X0, pi: (xs.copy(), np.zeros(len(xs)), causes)
+    newton = lambda g_, psi, X0, pi: (xs.copy(), np.zeros(len(xs)), causes)
     classify = lambda g_, psi, levels, X, res: list(zip(levels, (x.tobytes() for x in X)))
     with mock.patch.object(equilibria, "_newton_rows", newton), \
             mock.patch.object(equilibria, "_classify_rows", classify):
@@ -793,10 +807,11 @@ def sequential_newton_rows(s, X0, pi, log=None):
     for every row still searching; every matrix solved on its own.
     ``log`` collects (factor index, row) of every standstill."""
     g, psi = s.graph, s.psi
+    field = _field_of(g, psi)
     x = np.array(_check_state(s, X0), dtype=float)
     pi = np.reshape(pi, (-1, 1))
     limit = np.maximum(1e12, 10.0 * pi[:, 0])
-    fx = _field(g, psi, pi, x)
+    fx = field(x, pi)
     res = np.abs(fx).max(axis=1)
     step_inf = np.full(len(x), np.inf)
     cause = np.full(len(x), "diverged", dtype=object)
@@ -821,7 +836,7 @@ def sequential_newton_rows(s, X0, pi, log=None):
         step_inf[live] = np.abs(step).max(axis=1)
         x_l, r_l, pi_l = x[live], res[live], pi[live]
         x_new = x_l + step
-        f_new = _field(g, psi, pi_l, x_new)
+        f_new = field(x_new, pi_l)
         r_new = np.abs(f_new).max(axis=1)
         moved = (x_new != x_l).any(axis=1)
         better = moved & (r_new < r_l)
@@ -834,7 +849,7 @@ def sequential_newton_rows(s, X0, pi, log=None):
             pending, trial = pending[go], trial[go]
             if not pending.size:
                 break
-            f_t = _field(g, psi, pi_l[pending], trial)
+            f_t = field(trial, pi_l[pending])
             r_t = np.abs(f_t).max(axis=1)
             hit = r_t < r_l[pending]
             k = pending[hit]
@@ -890,7 +905,7 @@ def test_block_line_search_equals_sequential_halving(g, quantum, seed, m, seed_r
     # bitwise states, residuals and causes, with rows that stall, converge,
     # diverge or stand still at any factor of a block
     s, X0, levels = line_search_case(g, quantum, seed, m, seed_rule)
-    x, res, cause = _newton_rows(s, X0, levels)
+    x, res, cause = _newton_rows(s.graph, s.psi, X0, levels)
     ref_x, ref_res, ref_cause = sequential_newton_rows(s, X0, levels)
     assert x.tobytes() == ref_x.tobytes()
     assert res.tobytes() == ref_res.tobytes()
