@@ -22,8 +22,8 @@ from .nonlinearity import SigmoidFamily, tanh_family
 # benchmarks/tracing.py binds them by these names
 from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
 from .equilibria import (ScalarReduced, _chunks, _classify_rows, _newton_raw, _newton_rows,
-                         _blas_pin, _same_equilibrium, _search_grid, _solve_rows, classify,
-                         consensus_roots, find_all, pi1_star)
+                         _blas_pin, _run_chunks, _same_equilibrium, _search_grid, _solve_rows,
+                         _usable_cpus, classify, consensus_roots, find_all, pi1_star)
 from .spectra import thresholds
 
 __all__ = [
@@ -135,7 +135,6 @@ def sweep(g: Hypergraph2, psi: Optional[SigmoidFamily] = None,
     return SweepResult(grid=grid, branches=branches, bistability=bistability)
 
 
-@_blas_pin
 def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list, at: list):
     """Continue every record of ``recs`` below the last grid level one level
     up (``at[t]`` lists level t's records): a step from x at level a to b
@@ -147,45 +146,57 @@ def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list
     ``near``, the sup distance of that step's prediction to it. A round's
     arrivals are matched one at a time in level order: one that matches no
     record is a search miss, kept as a new record that later arrivals can
-    match, and continued. The origin, whose tangent is +-0, lands on the next level's
-    first record, the origin, at distance 0.0 without a step. A round runs
-    one Newton stack per ``_chunks`` range of its steps, and one for the
-    steps back, in turn, with BLAS on one thread (``_blas_pin``)."""
+    match, and continued. The origin, whose tangent is +-0, lands on the next
+    level's first record, the origin, at distance 0.0 without a step. A round
+    runs one Newton stack per ``_chunks`` range of its steps, and one for
+    those steps back, with BLAS on one thread (``_blas_pin``). Where that pin
+    holds and a round has several ranges, they run on min(CPUs, ranges)
+    threads (``_run_chunks``), whatever their size: threaded rounds timed
+    neither consistently faster nor slower at n = 5 to 60 and faster at
+    n = 90 and 120 (README). A row's steps do not depend on its stack, so
+    the records are those of the ranges in turn."""
     nxt, near = {}, {}
     # steps: (record, state, level from, level to, index of the next grid level)
     todo, fresh = [], [(r, k) for k, ids in enumerate(at) for r in ids]
-    while todo or fresh:
-        for q, t in (w for w in fresh if w[1] + 1 < grid.size):
-            if recs[q].state.any():
-                todo.append((q, recs[q].state, grid[t], grid[t + 1], t + 1))
-            else:
-                nxt[q], near[q] = at[t + 1][0], 0.0
-        pending, arrived, fresh = [], [], []
-        for a, b in _chunks(np.ones(len(todo), dtype=int), g.n):
-            part = todo[a:b]
-            X, lo, hi = (np.array([w[j] for w in part]) for j in (1, 2, 3))
-            y, res, pred, ok = _step(g, psi, X, lo[:, None], hi[:, None])
-            back, _, _, back_ok = _step(g, psi, y[ok], hi[ok, None], lo[ok, None])
-            stands = ok.copy()
-            stands[ok] = back_ok & _same_equilibrium(back, X[ok])
-            for i, (r, x, a_pi, b_pi, t) in enumerate(part):
-                if stands[i] and b_pi < grid[t]:
-                    pending.append((r, y[i], b_pi, grid[t], t))
-                elif stands[i]:
-                    arrived.append((t, r, y[i], res[i], pred[i]))
-                elif ok[i] and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
-                    pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
-        for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
-            same = _same_equilibrium(y, np.array([recs[q].state for q in at[t]]))
-            if same.any():
-                hit = at[t][same.argmax()]
-            else:  # a search miss: a new record of level t
-                hit = len(recs)
-                recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
-                at[t].append(hit)
-                fresh.append((hit, t))
-            nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
-        todo = pending
+
+    def run(a, b):  # the forward and back steps of todo[a:b]
+        X, lo, hi = (np.array([w[j] for w in todo[a:b]]) for j in (1, 2, 3))
+        y, res, pred, ok = _step(g, psi, X, lo[:, None], hi[:, None])
+        back, _, _, back_ok = _step(g, psi, y[ok], hi[ok, None], lo[ok, None])
+        stands = ok.copy()
+        stands[ok] = back_ok & _same_equilibrium(back, X[ok])
+        return y, res, pred, ok, stands
+
+    with _blas_pin as pinned:
+        while todo or fresh:
+            for q, t in (w for w in fresh if w[1] + 1 < grid.size):
+                if recs[q].state.any():
+                    todo.append((q, recs[q].state, grid[t], grid[t + 1], t + 1))
+                else:
+                    nxt[q], near[q] = at[t + 1][0], 0.0
+            chunks = list(_chunks(np.ones(len(todo), dtype=int), g.n))
+            workers = min(_usable_cpus(), len(chunks)) if pinned else 1
+            pending, arrived, fresh = [], [], []
+            for (a, b), (y, res, pred, ok, stands) in zip(chunks,
+                                                          _run_chunks(run, chunks, workers)):
+                for i, (r, x, a_pi, b_pi, t) in enumerate(todo[a:b]):
+                    if stands[i] and b_pi < grid[t]:
+                        pending.append((r, y[i], b_pi, grid[t], t))
+                    elif stands[i]:
+                        arrived.append((t, r, y[i], res[i], pred[i]))
+                    elif ok[i] and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
+                        pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
+            for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
+                same = _same_equilibrium(y, np.array([recs[q].state for q in at[t]]))
+                if same.any():
+                    hit = at[t][same.argmax()]
+                else:  # a search miss: a new record of level t
+                    hit = len(recs)
+                    recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
+                    at[t].append(hit)
+                    fresh.append((hit, t))
+                nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
+            todo = pending
     return nxt, near
 
 

@@ -22,8 +22,9 @@ search runs chunks of whole levels of at most 1e5 / n^2 rows, and
 ``find_all`` is its one-level case. The origin is an equilibrium at every
 level, since psi(0) = 0: each level's first record is +0.0 at residual 0,
 taken without Newton, and the search drops the states it finds within 1e-6
-of it. Below effort 1 the origin is the only equilibrium, so no level there
-is searched (``_search_grid``). The seeds are the consensus seeds and six
+of it. Below the fold level of the agents' least triple-to-pairwise ratio
+the origin is the only equilibrium, so no level there is searched
+(``_fold_floor``). The seeds are the consensus seeds and six
 uniform draws on [-(pi + 1), pi + 1]^n from rng seed 0. With a shared ratio
 the field at c * ones and the Jacobian's image of ones are multiples of the
 degree vector, so Newton from c * ones stays on the consensus line: the
@@ -97,8 +98,9 @@ _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 # rows * n^2 of one Newton stack of a grid search: about 500 levels of 6 to
 # 8 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
-# at n = 120, where one bigger stack ran slower. One-level chunks run on
-# threads, so peak memory grows by about one chunk's stack per extra worker.
+# at n = 120, where one bigger stack ran slower. One-level chunks, and the
+# step chunks of a sweep's threading, run on threads, so peak memory grows by
+# about one chunk's stack per extra worker.
 _STACK_BUDGET = 100_000
 # The line search's damping factors 1/2, 1/4, ..., 2^-29, tried in blocks
 # of 1, 2, 4, 8 and 14 factors, each block one field call. Small blocks
@@ -172,7 +174,9 @@ def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200) -> np.ndarray:
     brackets ``rows`` at ``x``. Each bracket runs the scalar loop on its own:
     it halves at mid = (lo + hi) / 2, keeps [lo, mid] where flo * f(mid) <= 0
     and [mid, hi] otherwise, and stops once hi - lo < tol or after ``itmax``
-    halvings. Returns the midpoints of the final brackets."""
+    halvings. Returns the midpoints of the final brackets. The product of
+    two large values overflows to an infinity of its sign, so it is taken
+    without the overflow warning."""
     lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
     rows = np.arange(lo.size)
     for _ in range(itmax):
@@ -180,7 +184,8 @@ def _bisect(fn, lo, hi, flo, tol=1e-12, itmax=200) -> np.ndarray:
             break
         mid = 0.5 * (lo[rows] + hi[rows])
         fm = fn(mid, rows)
-        left = flo[rows] * fm <= 0.0
+        with np.errstate(over="ignore"):
+            left = flo[rows] * fm <= 0.0
         hi[rows[left]] = mid[left]
         right = rows[~left]
         lo[right], flo[right] = mid[~left], fm[~left]
@@ -200,24 +205,27 @@ def consensus_roots(r: ScalarReduced, psi: Optional[SigmoidFamily] = None) -> li
     the global search seeds from as well, is not returned here.
     """
     psi = psi or tanh_family()
-    roots = _consensus_roots(r.alpha, np.array([r.pi], dtype=float), psi)[0, :2]
+    roots = _consensus_roots(r.alpha, np.array([r.pi], dtype=float), psi,
+                             pi1_star(r.alpha, psi)[1])[0, :2]
     return roots[~np.isnan(roots)].tolist()
 
 
-def _consensus_roots(alpha: float, pis: np.ndarray, psi: SigmoidFamily) -> np.ndarray:
+def _consensus_roots(alpha: float, pis: np.ndarray, psi: SigmoidFamily,
+                     fold_state: float) -> np.ndarray:
     """The consensus roots at every level of ``pis`` (L,), as one bisection
     over three pieces of every level: (L, 3), column 0 the root on [1e-8,
     split] and column 1 the root on [split, max(50, 2 pi)] (the two of
-    ``consensus_roots``; the split is the fold state of ``pi1_star``, at
-    least 1e-8, the same at every level), column 2 the root on
-    [-max(50, 2 pi), -1e-8]; NaN where a piece holds none."""
-    split = max(pi1_star(alpha, psi)[1], _ROOT_EPS_MIN)
+    ``consensus_roots``; the split is ``fold_state``, the state of
+    ``pi1_star(alpha)``, at least 1e-8, the same at every level), column 2
+    the root on [-max(50, 2 pi), -1e-8]; NaN where a piece holds none."""
+    split = max(fold_state, _ROOT_EPS_MIN)
     pi = np.repeat(pis, 3)  # the three pieces of every level
     top = np.maximum(_ROOT_EPS_MAX, 2.0 * pis)
     lo = np.column_stack(np.broadcast_arrays(_ROOT_EPS_MIN, split, -top)).ravel()
     hi = np.column_stack(np.broadcast_arrays(split, top, -_ROOT_EPS_MIN)).ravel()
-    flo = _gap(alpha, pi, lo, psi)
-    b = np.flatnonzero(flo * _gap(alpha, pi, hi, psi) < 0.0)
+    flo, fhi = _gap(alpha, pi, lo, psi), _gap(alpha, pi, hi, psi)
+    with np.errstate(over="ignore"):  # as in _bisect
+        b = np.flatnonzero(flo * fhi < 0.0)
     roots = np.full(pi.size, np.nan)
     roots[b] = _bisect(lambda e, rows: _gap(alpha, pi[b[rows]], e, psi), lo[b], hi[b], flo[b])
     return roots.reshape(pis.size, 3)
@@ -501,16 +509,17 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     the list ``find_all`` gives there. ValueError, before any level is
     searched, when ``psi`` fails a clause of ``verify_assumptions``. Every
     level's first record is the origin, state +0.0 at residual 0, classified
-    in ``_chunks`` ranges of one row per level. The levels from 1 on are
-    searched for the rest, their consensus seeds first: with a shared ratio
-    the roots of one bisection, else the grid. Their counts give every
-    level's seed count, by which ``_chunks`` groups the levels; a chunk's
-    seed stack is built when the chunk runs (``_search_chunk``). The search
-    holds BLAS at one thread (``_blas_pin``). When that pin is available,
-    there are at least two chunks, each of one level, and at least two CPUs
-    are usable, the chunks run on min(CPUs, chunks) threads
-    (``_run_chunks``), with the serial loop's results and errors; otherwise
-    they run in turn, as threads did not speed up many-level chunks."""
+    in ``_chunks`` ranges of one row per level. The levels from
+    ``_fold_floor`` on are searched for the rest, their consensus seeds
+    first: with a shared ratio the roots of one bisection, else the grid.
+    Their counts give every level's seed count, by which ``_chunks`` groups
+    the levels; a chunk's seed stack is built when the chunk runs
+    (``_search_chunk``). The search holds BLAS at one thread
+    (``_blas_pin``). When that pin is available, there are at least two
+    chunks, each of one level, and at least two CPUs are usable, the chunks
+    run on min(CPUs, chunks) threads (``_run_chunks``), with the serial
+    loop's results and errors; otherwise they run in turn, as threads did
+    not speed up many-level chunks."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
@@ -521,17 +530,16 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
         SystemInstance(graph=g, psi=psi, pi=float(pi))
     # The origin is an equilibrium at every level, since psi(0) = 0 (the odd
-    # clause). Below effort 1 it is the only one: at an equilibrium
-    # d_i x_i = pi G_i(x), and |psi(s)| <= min(|s|, 1) bounds each term of
-    # G_i by its weight times |x|_inf, so d_i |x_i| <= pi d_i |x|_inf, which
-    # at the largest |x_i| leaves x = 0 when pi < 1. Its Jacobian
-    # pi psi'(0) A2 - D is symmetric bit for bit (build refuses an asymmetric
-    # A2, and every column takes the same factor), so its spectrum is real.
+    # clause). Its Jacobian pi psi'(0) A2 - D is symmetric bit for bit (build
+    # refuses an asymmetric A2, and every column takes the same factor), so
+    # its spectrum is real.
     with _blas_pin as pinned:
         per_level = [[eq] for a, b in _chunks(np.ones(pis.size, dtype=int), g.n)
                      for eq in _classify_rows(g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)),
                                               np.zeros(b - a), symmetric=True)]
-        high = np.flatnonzero(pis >= 1.0)
+        # the floor is at least 1: levels below 1 need not bisect the fold
+        floor, fold_state = _fold_floor(g, psi) if pis.max() >= 1.0 else (1.0, 0.0)
+        high = np.flatnonzero(pis >= floor)
         if not high.size:
             return per_level
         pis = pis[high]
@@ -539,7 +547,7 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
             c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
             scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
         else:
-            scales = _consensus_roots(g.alpha, pis, psi)
+            scales = _consensus_roots(g.alpha, pis, psi, fold_state)
         sizes = np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
         uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
         chunks = list(_chunks(sizes, g.n))
@@ -553,6 +561,43 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     for i, found in zip(high.tolist(), (eqs for part in parts for eqs in part)):
         per_level[i] += found
     return per_level
+
+
+def _fold_floor(g: Hypergraph2, psi: SigmoidFamily) -> tuple[float, float]:
+    """A level below which the origin is the only equilibrium, and a fold
+    state: ``pi1_star`` of the shared ratio ``g.alpha``, or without one of
+    the least ratio a_i = d_i / p_i - 1 of triple mass t_i = d_i - p_i to
+    pairwise mass p_i, its level stepped down by 1e-9 of itself and at
+    least 1.
+
+    Let M = |x_i| be the largest component of an equilibrium x != 0. psi is
+    odd and increasing, so |psi(x_j)| <= psi(M) for every j, and agent i's
+    balance d_i x_i = pi (A2 psi(x) + T(psi(x)))_i gives
+    d_i M <= pi (p_i psi(M) + t_i psi(M)^2), that is pi >= F_a(M) =
+    (1 + a) M / (psi(M) + a psi(M)^2) with a = a_i (p_i > 0, as A2 is
+    connected). F_a >= pi1_star(a), its least value, and F_a rises with a
+    (dF/da = M psi (1 - psi) / h^2 >= 0), so pi >= pi1_star(min a_i). A
+    ratio of 0, an agent without triples, gives 1: then F = M / psi(M) > 1,
+    which holds at every ratio, so no floor need lie below 1.
+    The bisection puts the tangency within 1e-12 and F is flat there, so the
+    computed level exceeds the least F by rounding alone: ulps of psi and of
+    d_i / p_i, and about 1e-16 where the tangency state is held at 1e-8. A
+    shared ratio is the mean of ratios within 1e-10 max(1, a) of each other
+    (``build``), so it can lie above the least one; as
+    (dF/da) / F = (1 - psi) / ((1 + a)(1 + a psi)) <= 1 / (1 + a), its fold
+    level lies within about 1e-10 of itself above the least ratio's. The
+    1e-9 step covers both, so a level it skips holds no equilibrium but the
+    origin. A least ratio past the float range bounds nothing beyond F > 1,
+    and gives (1, 0)."""
+    if g.alpha is not None:
+        alpha = g.alpha
+    else:
+        with np.errstate(over="ignore"):
+            alpha = float((g.degrees / g.a2.sum(axis=1)).min()) - 1.0
+        if alpha == math.inf:
+            return 1.0, 0.0
+    level, state = pi1_star(alpha, psi)
+    return max(1.0, (1.0 - 1e-9) * level), state
 
 
 def _usable_cpus() -> int:
@@ -636,7 +681,8 @@ def find_all(s: SystemInstance) -> list[Equilibrium]:
     together as one stack, deduplicated in seed order by
     ``_same_equilibrium`` and sorted by sup norm: the one-level case of the
     grid search ``_search_grid``, which refuses a transmission family that
-    fails ``verify_assumptions``. Below effort 1 the result is the origin
+    fails ``verify_assumptions``. Below ``_fold_floor``, the fold level of
+    the agents' least triple-to-pairwise ratio, the result is the origin
     alone, without a search.
     Seeds that diverge are dropped silently; reordering the seed stack cannot
     change the result beyond its guaranteed sorting."""

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -245,10 +246,45 @@ def test_two_arrivals_at_one_search_miss_make_one_record(inst5, tanh):
     assert equilibria._same_equilibrium(new.state, max(high, key=lambda eq: eq.norm_inf).state)
 
 
+def test_threaded_successors_equal_the_serial_ones(inst5, tanh, monkeypatch):
+    # bitwise: rounds of 2-row ranges on two threads against one CPU; every
+    # other level keeps only its origin, so arrivals there are search misses
+    # that both runs add as the same new records
+    with equilibria._blas_pin as pinned:
+        if not pinned:
+            pytest.skip("no OpenBLAS thread-count symbol: the threading runs serially")
+    grid = make_grid(1.0, 2.5, 0.05)
+    levels = [eqs if k % 2 else eqs[:1] for k, eqs in enumerate(equilibria._search_grid(
+        inst5, tanh, grid))]
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", 2 * 25)
+    step, off_main = bifurcation._step, []
+
+    def stepped(*args):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return step(*args)
+
+    monkeypatch.setattr(bifurcation, "_step", stepped)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(bifurcation, "_usable_cpus", lambda cpus=cpus: cpus)
+        recs = [eq for eqs in levels for eq in eqs]
+        at = [ids.tolist() for ids in np.split(np.arange(len(recs)),
+                                               np.cumsum([len(eqs) for eqs in levels])[:-1])]
+        count, off_main[:] = len(recs), []
+        nxt, near = bifurcation._successors(inst5, tanh, grid, recs, at)
+        added = [(eq.state.tobytes(), eq.pi, eq.residual, eq.max_real_eig, eq.classification,
+                  eq.is_consensus) for eq in recs[count:]]
+        runs.append((nxt, near, added, at, any(off_main)))
+    assert runs[0][2], "no search miss was added"
+    assert not runs[0][4] and runs[1][4]
+    assert runs[0][:4] == runs[1][:4]
+
+
 def test_default_sweep_work_counts(inst5, tanh, monkeypatch):
     # Newton rows of the grid search and continuation steps of the default
-    # inst5 sweep: the 199 levels below 1 are not searched, a zero seed takes
-    # no Newton, and the origin steps onto the next level's origin directly
+    # inst5 sweep: the 288 levels below the fold level 1.4436 are not
+    # searched, a zero seed takes no Newton, and the origin steps onto the
+    # next level's origin directly
     rows, searching = {"search": 0, "step": 0}, []
     search_grid, step = equilibria._search_grid, bifurcation._step
     newton_rows = equilibria._newton_rows
@@ -272,7 +308,7 @@ def test_default_sweep_work_counts(inst5, tanh, monkeypatch):
     monkeypatch.setattr(equilibria, "_newton_rows", newton)
     monkeypatch.setattr(bifurcation, "_step", stepped)
     sweep(inst5, tanh)
-    assert rows == {"search": 6229, "step": 2984}
+    assert rows == {"search": 5695, "step": 2984}
 
 
 BLAS_SWEEP = """

@@ -7,6 +7,7 @@ scipy.optimize.brentq as a second opinion.
 """
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -452,19 +453,18 @@ def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     per_level = equilibria._search_grid(inst5, tanh, grid)
     assert len(per_level) == 1000
     # every level's first record is the origin, +0.0 at residual 0, taken
-    # without a search; the stand-in search adds nothing, and the 199 levels
-    # below 1 are not searched
+    # without a search; the stand-in search adds nothing, and the 288 levels
+    # below the fold level 1.4436 are not searched
     for pi, eqs in zip(grid.tolist(), per_level):
         assert [(eq.pi, eq.residual, eq.state.tobytes()) for eq in eqs] == \
             [(pi, 0.0, np.zeros(5).tobytes())]
-    # the 6 uniform rows at the 89 searched levels below the fold level
-    # 1.4436; with both positive roots up to 1.995; with the upper root
-    # alone at 2 = 1 + alpha, where the lower root has met the origin and
-    # the negative root is not yet born; with the upper and the negative
-    # root from 2.005 on
-    assert rows == [6] * 89 + [8] * 111 + [7] + [8] * 600
-    # 522 levels fill 3 997 of the 4 000 rows, then the other 279
-    assert events == [(kind, k) for k in (522, 279) for kind in ("build", "search")]
+    # the searched levels with both positive roots up to 1.995; with the
+    # upper root alone at 2 = 1 + alpha, where the lower root has met the
+    # origin and the negative root is not yet born; with the upper and the
+    # negative root from 2.005 on
+    assert rows == [8] * 111 + [7] + [8] * 600
+    # 500 levels fill 3 999 of the 4 000 rows, then the other 212
+    assert events == [(kind, k) for k in (500, 212) for kind in ("build", "search")]
 
 
 def test_grid_search_classifies_within_the_stack_budget(inst5, tanh, monkeypatch):
@@ -497,6 +497,47 @@ def test_levels_below_one_bisect_nothing(inst5, tanh, monkeypatch):
     assert [len(eqs) for eqs in equilibria._search_grid(inst5, tanh, [0.1, 0.5, 0.99])] == [1] * 3
 
 
+def test_a_shared_ratio_bisects_its_fold_once(inst5, tanh, monkeypatch):
+    # the floor's fold state is the consensus roots' split
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pi1_star(*args)
+
+    monkeypatch.setattr(equilibria, "pi1_star", counted)
+    per_level = equilibria._search_grid(inst5, tanh, [1.0, 1.7, 2.5])
+    assert calls == [(inst5.alpha, tanh)]
+    monkeypatch.undo()
+    assert [equilibria_csv(eqs) for eqs in per_level] == [
+        equilibria_csv(find_all(SystemInstance(graph=inst5, psi=tanh, pi=pi))) for pi in (1.0, 1.7, 2.5)]
+
+
+def unit_triples(pair: float, scale) -> hd.Hypergraph2:
+    """Three agents, every pairwise weight ``pair``, and agent i's triple
+    weighing ``scale[i]``: ratios 2 scale[i] / (2 pair)."""
+    b = np.zeros((3, 3, 3))
+    for i, (j, k) in enumerate([(1, 2), (0, 2), (0, 1)]):
+        b[i, j, k] = b[i, k, j] = scale[i]
+    return hd.build(pair * (np.ones((3, 3)) - np.eye(3)), b)
+
+
+@pytest.mark.parametrize("g", [unit_triples(1e-160, [1.0, 2.0, 3.0]), unit_triples(1e-300, [1.0] * 3)],
+                         ids=["mixed-1e160", "shared-1e300"])
+def test_ratios_near_the_float_range_bisect_without_overflow(g, tanh):
+    # the fold's and the roots' sign tests multiply two gap values of the
+    # ratio's size, past the float range: no overflow warning, and the floor
+    # is the fold of a pure triple balance, between 1 and 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor = equilibria._fold_floor(g, tanh)[0]
+        per_level = equilibria._search_grid(g, tanh, [1.0, 2.0, 3.0])
+        sweep = hd.sweep(g, tanh, [1.0, 2.0, 3.0])
+    assert 1.7 < floor < 1.72
+    assert [len(eqs) for eqs in per_level] == [1, 6, 7]
+    assert [len(b.points) for b in sweep.branches] == [3, 2, 2, 2, 2, 2, 1]
+
+
 @pytest.fixture
 def threaded(monkeypatch):
     """One level per chunk on two worker threads; skipped where numpy's
@@ -511,11 +552,11 @@ def threaded(monkeypatch):
 @pytest.mark.parametrize("budget", [1, 6 * 25])
 def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, monkeypatch,
                                                           budget):
-    # the levels below 1 take no chunk: under a budget of one row per level
-    # or of 6 rows per chunk (n = 120's cap, which would pack one-row low
-    # levels into one chunk and turn the search serial) every level from 1
-    # on runs alone off the main thread; every level holds the origin, which
-    # no chunk finds
+    # the levels below the fold level 1.4436 take no chunk: under a budget
+    # of one row per level or of 6 rows per chunk (n = 120's cap, which
+    # would pack one-row low levels into one chunk and turn the search
+    # serial) every level from 1.5 on runs alone off the main thread; every
+    # level holds the origin, which no chunk finds
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", budget)
     runs = []
 
@@ -527,10 +568,11 @@ def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, 
     grid = hd.make_grid(0.25, 5.0, 0.25)
     per_level = equilibria._search_grid(inst5, tanh, grid)
     assert [len(eqs) for eqs in per_level] == [1] * 20
-    assert sorted(runs) == [([pi], False) for pi in grid[3:].tolist()]
+    assert sorted(runs) == [([pi], False) for pi in grid[5:].tolist()]
 
 
-GRID4 = [1.0, 1.5, 2.0, 2.5]
+# every level above inst5's fold level 1.4436, so each is one searched chunk
+GRID4 = [1.5, 2.0, 2.5, 3.0]
 
 
 def failing_chunks(monkeypatch, fail):

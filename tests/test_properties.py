@@ -385,10 +385,11 @@ def test_grid_search_levels_equal_find_all(g, grid, budget):
        grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=8, unique=True).map(sorted))
 def test_threaded_grid_search_equals_the_serial_one(g, grid):
     # bitwise: one level per chunk, on three worker threads (where BLAS can
-    # be pinned to one thread) against one CPU; the levels below 1 are not
-    # searched, and a lone searched level runs on the caller's thread
+    # be pinned to one thread) against one CPU; the levels below the fold
+    # floor are not searched, and a lone searched level runs on the caller's
+    # thread
     psi = hd.tanh_family()
-    searched = sum(pi >= 1.0 for pi in grid)
+    searched = sum(pi >= equilibria._fold_floor(g, psi)[0] for pi in grid)
     search_chunk, off_main = equilibria._search_chunk, []
     with equilibria._blas_pin as pinned:
         pass
@@ -438,6 +439,89 @@ def plain_pi1_star(alpha, psi):
     flo = tangency(1e-8)
     eps = 1e-8 if flo >= 0.0 else plain_bisect(tangency, 1e-8, 50.0, flo)
     return (1.0 + alpha) * eps / h(eps), eps
+
+
+@st.composite
+def floor_instances(draw):
+    """A drawn instance as it is (a shared ratio), with each agent's triples
+    scaled by a factor of its own (mixed ratios), or with agent 0's triples
+    removed (a least ratio of 0)."""
+    g = draw(instances())
+    b = np.array(g.b)
+    kind = draw(st.sampled_from(["shared", "mixed", "bare"]))
+    if kind == "mixed":
+        scale = draw(st.lists(st.floats(0.2, 3.0), min_size=g.n, max_size=g.n))
+        b *= np.reshape(scale, (-1, 1, 1))
+    elif kind == "bare":
+        b[0] = 0.0
+    return hd.build(g.a2, b)
+
+
+def least_ratio_fold(g, psi):
+    """The fold level of the least triple-to-pairwise mass ratio, from the
+    dense tensor and a plain bisection."""
+    return plain_pi1_star(float((g.b.sum(axis=(1, 2)) / g.a2.sum(axis=1)).min()), psi)[0]
+
+
+# agent 0 of the paper's example with 4 times its triple mass: ratios 4 and 1
+HEAVY0 = hd.build(INST5.a2, INST5.b * np.array([4.0, 1.0, 1.0, 1.0, 1.0])[:, None, None])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=floor_instances())
+@example(g=HEAVY0)
+def test_fold_floor_is_the_least_ratios_fold_level(g):
+    psi = hd.tanh_family()
+    star = max(1.0, least_ratio_fold(g, psi))
+    assert star * (1.0 - 2e-9) <= equilibria._fold_floor(g, psi)[0] <= star
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(alphas=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(sorted))
+@example(alphas=[0.0, 1e-9])
+def test_pi1_star_is_nondecreasing_in_the_ratio(alphas):
+    lo, hi = (pi1_star(alpha)[0] for alpha in alphas)
+    assert lo <= hi * (1.0 + 1e-14)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(g=floor_instances(), seed=st.integers(0, 2**32 - 1))
+@example(g=HEAVY0, seed=0)
+def test_newton_below_the_fold_floor_finds_only_the_origin(g, seed):
+    # 400 uniform seeds on [-(pi + 1), pi + 1]^n and 40 on the consensus
+    # line: no row converges off the origin just below the floor
+    psi = hd.tanh_family()
+    floor = equilibria._fold_floor(g, psi)[0]
+    for pi in (floor * (1.0 - 1e-3), floor * (1.0 - 1e-6)):
+        bound = pi + 1.0
+        c = np.linspace(0.0, bound, 21)[1:]
+        X0 = np.vstack([np.random.default_rng(seed).uniform(-bound, bound, (400, g.n)),
+                        np.outer(np.concatenate([c, -c]), np.ones(g.n))])
+        x, _, cause = _newton_rows(g, psi, X0, np.full(len(X0), pi))
+        off = (cause == "converged") & (np.abs(x).max(axis=1) >= ORIGIN_GAP)
+        assert not off.any(), (pi, x[off][:3])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(g=instances())
+@example(g=INST5)
+@example(g=hd.random_instance(5, 0.8, 0.2, 1e-5, 1))
+def test_fold_floor_is_tight_with_a_shared_ratio(g):
+    # just above the floor the consensus balance has a positive root, the
+    # pair of them where the fold lies off the origin, and each lifts to an
+    # equilibrium of the full field
+    psi = hd.tanh_family()
+    floor, state = equilibria._fold_floor(g, psi)
+    assert state == pi1_star(g.alpha, psi)[1]
+    level = floor * (1.0 + 2e-9)
+    roots = equilibria._consensus_roots(g.alpha, np.array([level]), psi, state)[0, :2]
+    roots = roots[~np.isnan(roots)]
+    assert roots.size >= 1
+    if g.alpha >= 1e-3:  # a fold away from the origin: the pair
+        assert roots.size == 2
+    s = SystemInstance(g, psi, level)
+    for c in roots.tolist():
+        assert np.abs(vector_field(s, np.full(g.n, c))).max() < 1e-9
 
 
 def plain_consensus_roots(alpha, pi, psi):
@@ -538,7 +622,7 @@ def test_array_bisection_roots_equal_per_level_roots(case):
     star = pi1_star(alpha, psi)
     assert star == plain_pi1_star(alpha, psi)
     levels = fold_levels(star[0], levels)
-    roots = equilibria._consensus_roots(alpha, np.array(levels), psi)
+    roots = equilibria._consensus_roots(alpha, np.array(levels), psi, star[1])
     assert roots.shape == (len(levels), 3)
     for pi, row in zip(levels, roots[:, :2]):
         per_level = consensus_roots(ScalarReduced(alpha=alpha, pi=pi), psi)
@@ -557,8 +641,9 @@ def test_negative_root_column_is_the_plain_bisection(case):
     # the gap is about 1e-8 ((1 + alpha) (1 + alpha 1e-8) - pi))
     alpha, levels = case
     psi = hd.tanh_family()
-    levels = fold_levels(pi1_star(alpha, psi)[0], levels)
-    column = equilibria._consensus_roots(alpha, np.array(levels), psi)[:, 2]
+    star, state = pi1_star(alpha, psi)
+    levels = fold_levels(star, levels)
+    column = equilibria._consensus_roots(alpha, np.array(levels), psi, state)[:, 2]
     for pi, root in zip(levels, column.tolist()):
         plain = plain_negative_root(alpha, pi, psi)
         assert np.isnan(root) if plain is None else root == plain
@@ -594,8 +679,9 @@ def test_chunk_seed_stacks_equal_the_per_level_rule(g, grid, budget):
             mock.patch.object(equilibria, "_search_chunk", record):
         _search_grid(g, psi, grid)
     chunks.sort(key=lambda chunk: chunk[0][0])
-    # the levels below 1 are not searched
-    assert [pi for pis, _, _ in chunks for pi in pis] == [pi for pi in grid if pi >= 1.0]
+    # the levels below the fold floor are not searched
+    floor = equilibria._fold_floor(g, psi)[0]
+    assert [pi for pis, _, _ in chunks for pi in pis] == [pi for pi in grid if pi >= floor]
     for pis, sizes, seeds in chunks:
         plain = [plain_seeds(SystemInstance(g, psi, pi)) for pi in pis]
         assert sizes == [len(p) for p in plain]

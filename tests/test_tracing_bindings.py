@@ -55,9 +55,9 @@ def test_traced_basin_probe_and_integrate_run():
     # the radii run through the stacked core, which is not a traced name
     assert out["calls"] == 1
     assert out["traced_steps"] == out["steps"] == 100
-    # the RK4 stages call the unchecked _field, and the upper state is the
-    # lifted consensus root, with no Newton: no call of the smoke passes the
-    # traced public name
+    # the RK4 stages call the unchecked field that _field_of binds, and the
+    # upper state is the lifted consensus root, with no Newton: no call of
+    # the smoke passes the traced public name
     assert out["field_calls"] == 0
 
 
