@@ -18,12 +18,12 @@ import numpy as np
 from .errors import DimensionError, NoBistabilityError
 from .hypergraph import Hypergraph2
 from .nonlinearity import SigmoidFamily, tanh_family
-# integrate, find_all, classify and _newton_raw are not called here;
-# benchmarks/tracing.py binds them by these names
+# integrate, find_all, classify, _newton_raw and thresholds are not called
+# here; benchmarks/tracing.py binds them by these names
 from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
-from .equilibria import (ScalarReduced, _chunks, _classify_rows, _newton_raw, _newton_rows,
-                         _blas_pin, _run_chunks, _same_equilibrium, _search_grid, _solve_rows,
-                         _usable_cpus, classify, consensus_roots, find_all, pi1_star)
+from .equilibria import (ScalarReduced, _classify_rows, _newton_raw, _newton_rows, _blas_pin,
+                         _run_chunks, _same_equilibrium, _search_grid, _solve_rows, classify,
+                         consensus_roots, find_all, pi1_star)
 from .spectra import thresholds
 
 __all__ = [
@@ -148,12 +148,8 @@ def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list
     record is a search miss, kept as a new record that later arrivals can
     match, and continued. The origin, whose tangent is +-0, lands on the next
     level's first record, the origin, at distance 0.0 without a step. A round
-    runs one Newton stack per ``_chunks`` range of its steps, and one for
-    those steps back, with BLAS on one thread (``_blas_pin``). Where that pin
-    holds and a round has several ranges, they run on min(CPUs, ranges)
-    threads (``_run_chunks``), whatever their size: threaded rounds timed
-    neither consistently faster nor slower at n = 5 to 60 and faster at
-    n = 90 and 120 (README). A row's steps do not depend on its stack, so
+    runs its steps, and those steps back, by ``_run_chunks`` with BLAS on
+    one thread (``_blas_pin``). A row's steps do not depend on its stack, so
     the records are those of the ranges in turn."""
     nxt, near = {}, {}
     # steps: (record, state, level from, level to, index of the next grid level)
@@ -167,25 +163,23 @@ def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list
         stands[ok] = back_ok & _same_equilibrium(back, X[ok])
         return y, res, pred, ok, stands
 
-    with _blas_pin as pinned:
+    with _blas_pin:
         while todo or fresh:
             for q, t in (w for w in fresh if w[1] + 1 < grid.size):
                 if recs[q].state.any():
                     todo.append((q, recs[q].state, grid[t], grid[t + 1], t + 1))
                 else:
                     nxt[q], near[q] = at[t + 1][0], 0.0
-            chunks = list(_chunks(np.ones(len(todo), dtype=int), g.n))
-            workers = min(_usable_cpus(), len(chunks)) if pinned else 1
+            parts = _run_chunks(run, np.ones(len(todo), dtype=int), g.n)
             pending, arrived, fresh = [], [], []
-            for (a, b), (y, res, pred, ok, stands) in zip(chunks,
-                                                          _run_chunks(run, chunks, workers)):
-                for i, (r, x, a_pi, b_pi, t) in enumerate(todo[a:b]):
-                    if stands[i] and b_pi < grid[t]:
-                        pending.append((r, y[i], b_pi, grid[t], t))
-                    elif stands[i]:
-                        arrived.append((t, r, y[i], res[i], pred[i]))
-                    elif ok[i] and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
-                        pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
+            for (r, x, a_pi, b_pi, t), y, res, pred, ok, stands in zip(
+                    todo, *(np.concatenate(field) for field in zip(*parts))):
+                if stands and b_pi < grid[t]:
+                    pending.append((r, y, b_pi, grid[t], t))
+                elif stands:
+                    arrived.append((t, r, y, res, pred))
+                elif ok and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
+                    pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
             for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
                 same = _same_equilibrium(y, np.array([recs[q].state for q in at[t]]))
                 if same.any():
@@ -222,15 +216,19 @@ def bistability_interval(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) ->
     Nonnegative Matrices in the Mathematical Sciences, ch. 6): true at the
     upper root for every pi > pi1_star, where F increases. J(0) = pi A2 - D
     is congruent to D^1/2 (pi S - I) D^1/2, S = D^-1/2 A2 D^-1/2, so the
-    origin is stable iff pi < pi1 = 1 / lambda_max(S).
+    origin is stable iff pi < pi1 = 1 / lambda_max(S). The shared ratio
+    gives D ones = (1 + alpha) A2 ones, so S D^1/2 ones = D^1/2 ones /
+    (1 + alpha): a positive eigenvector of S, irreducible as A2 is
+    connected, so its Perron vector, and pi1 = 1 + alpha. ``build`` shares
+    ratios within 1e-10 max(1, alpha) of each other, and pi1 lies between 1
+    plus the least and 1 plus the largest of them (Collatz-Wielandt).
     """
     if g.alpha is None:
         raise ValueError("instance has no shared 2-interaction ratio")
     psi = psi or tanh_family()
     if g.alpha == 0.0:
         raise NoBistabilityError("zero ratio: the fold degenerates, no window")
-    lo, _ = pi1_star(g.alpha, psi)
-    hi = thresholds(g).pi1
+    lo, hi = pi1_star(g.alpha, psi)[0], 1.0 + g.alpha
     if not lo < hi:
         raise NoBistabilityError(f"empty window ({lo!r}, {hi!r})")
     return (lo, hi)

@@ -33,11 +33,12 @@ every consensus equilibrium but the origin. Without one they are c * ones
 for c in +-linspace(0, pi + 1, 11). The roots of all levels come from one
 array bisection, each element following the scalar loop, so every level's
 seed count is known before any stack exists; each chunk's seeds are built
-in one pass, bitwise the per-level rule. Single-level chunks run on
-threads, and a search pins numpy's OpenBLAS to one thread (``_search_grid``,
-``_blas_pin``). Two states are the same equilibrium when they lie within
-sup distance max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
-(``_same_equilibrium``); the sweep's threading uses the same test.
+in one pass, bitwise the per-level rule. A search pins numpy's OpenBLAS to
+one thread (``_blas_pin``); where that pin holds, its chunks run on threads
+once there are two (``_run_chunks``). Two states are the same equilibrium
+when they lie within sup distance max(1e-6, 1e-12 |y|_inf) of each other, y
+the one kept first (``_same_equilibrium``); the sweep's threading uses the
+same test.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ import io
 import math
 import os
 import threading
-from contextlib import ContextDecorator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,9 +98,9 @@ _ROOT_EPS_MIN = 1e-8
 _ROOT_EPS_MAX = 50.0
 # rows * n^2 of one Newton stack of a grid search: about 500 levels of 6 to
 # 8 seeds at n = 5 with a shared ratio, one level (the least a chunk holds)
-# at n = 120, where one bigger stack ran slower. One-level chunks, and the
-# step chunks of a sweep's threading, run on threads, so peak memory grows by
-# about one chunk's stack per extra worker.
+# at n = 120, where one bigger stack ran slower. Chunks run on threads
+# (``_run_chunks``), so peak memory grows by about one chunk's stack per
+# extra worker.
 _STACK_BUDGET = 100_000
 # The line search's damping factors 1/2, 1/4, ..., 2^-29, tried in blocks
 # of 1, 2, 4, 8 and 14 factors, each block one field call. Small blocks
@@ -269,7 +269,7 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
     return float(level[0]), float(eps_star[0])
 
 
-class _BlasPin(ContextDecorator):
+class _BlasPin:
     """numpy's bundled OpenBLAS (``numpy.libs/*openblas*``) on one thread
     while the body runs, so a solve's last bits do not depend on the
     caller's BLAS thread count; entering returns whether it could. The
@@ -515,11 +515,8 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     Their counts give every level's seed count, by which ``_chunks`` groups
     the levels; a chunk's seed stack is built when the chunk runs
     (``_search_chunk``). The search holds BLAS at one thread
-    (``_blas_pin``). When that pin is available, there are at least two
-    chunks, each of one level, and at least two CPUs are usable, the chunks
-    run on min(CPUs, chunks) threads (``_run_chunks``), with the serial
-    loop's results and errors; otherwise they run in turn, as threads did
-    not speed up many-level chunks."""
+    (``_blas_pin``); the origin rows and the chunks both go through
+    ``_run_chunks``, with the serial loop's results and errors."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
@@ -533,10 +530,11 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     # clause). Its Jacobian pi psi'(0) A2 - D is symmetric bit for bit (build
     # refuses an asymmetric A2, and every column takes the same factor), so
     # its spectrum is real.
-    with _blas_pin as pinned:
-        per_level = [[eq] for a, b in _chunks(np.ones(pis.size, dtype=int), g.n)
-                     for eq in _classify_rows(g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)),
-                                              np.zeros(b - a), symmetric=True)]
+    with _blas_pin:
+        origins = _run_chunks(lambda a, b: _classify_rows(
+            g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)), np.zeros(b - a), symmetric=True),
+            np.ones(pis.size, dtype=int), g.n)
+        per_level = [[eq] for part in origins for eq in part]
         # the floor is at least 1: levels below 1 need not bisect the fold
         floor, fold_state = _fold_floor(g, psi) if pis.max() >= 1.0 else (1.0, 0.0)
         high = np.flatnonzero(pis >= floor)
@@ -550,14 +548,12 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
             scales = _consensus_roots(g.alpha, pis, psi, fold_state)
         sizes = np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
         uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
-        chunks = list(_chunks(sizes, g.n))
 
         def run(a, b):
             return _search_chunk(g, psi, pis[a:b], sizes[a:b],
                                  _seed_stack(pis[a:b], scales[a:b], uniform))
 
-        workers = min(_usable_cpus(), len(chunks)) if pinned and len(chunks) == pis.size else 1
-        parts = _run_chunks(run, chunks, workers)
+        parts = _run_chunks(run, sizes, g.n)
     for i, found in zip(high.tolist(), (eqs for part in parts for eqs in part)):
         per_level[i] += found
     return per_level
@@ -607,39 +603,44 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(run, chunks: list, workers: int) -> list:
-    """``run(a, b)`` for every chunk (a, b) of ``chunks``, the results in
-    chunk order: in turn, or on ``workers`` threads when that is at least 2.
-    A thread takes the next chunk index from a shared counter and runs the
-    chunk in a copy of the caller's context (numpy's errstate lives there).
-    Once a chunk raises, no chunk after it starts; all threads are joined,
-    and the error of the first failing chunk in chunk order is raised, the
-    one the loop in turn raises."""
-    if workers < 2:
-        return [run(a, b) for a, b in chunks]
-    out: list = [None] * len(chunks)
-    errors: dict = {}
-    lock = threading.Lock()
-    order = iter(range(len(chunks)))
-    caller = contextvars.copy_context()
+def _run_chunks(run, sizes, n: int) -> list:
+    """``run(a, b)`` for every ``_chunks`` range (a, b) of the row counts
+    ``sizes`` at ``n`` agents, the results in range order, with BLAS held
+    at one thread (``_blas_pin``). Where that pin holds and there are at
+    least two ranges, they run on min(usable CPUs, ranges) threads, else in
+    turn (the README gives the timings). A thread takes the next range from
+    a shared counter and runs it in a copy of the caller's context (numpy's
+    errstate lives there). Once a range raises, no range after it starts;
+    all threads are joined, and the error of the first failing range in
+    range order is raised, the one the loop in turn raises."""
+    chunks = list(_chunks(sizes, n))
+    with _blas_pin as pinned:
+        workers = min(_usable_cpus(), len(chunks)) if pinned else 1
+        if workers < 2:
+            return [run(a, b) for a, b in chunks]
+        out: list = [None] * len(chunks)
+        errors: dict = {}
+        lock = threading.Lock()
+        order = iter(range(len(chunks)))
+        caller = contextvars.copy_context()
 
-    def work():
-        while True:
-            with lock:
-                i = next(order, None)
-                if i is None or (errors and i > min(errors)):
-                    return
-            try:
-                out[i] = caller.copy().run(run, *chunks[i])
-            except BaseException as exc:  # raised in the caller below
+        def work():
+            while True:
                 with lock:
-                    errors[i] = exc
+                    i = next(order, None)
+                    if i is None or (errors and i > min(errors)):
+                        return
+                try:
+                    out[i] = caller.copy().run(run, *chunks[i])
+                except BaseException as exc:  # raised in the caller below
+                    with lock:
+                        errors[i] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if errors:
         raise errors[min(errors)]
     return out

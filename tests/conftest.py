@@ -1,7 +1,31 @@
+import threading
+
 import numpy as np
 import pytest
 
 import hyperdecide as hd
+from hyperdecide import equilibria
+
+
+@pytest.fixture(scope="session")
+def blas_threads():
+    """numpy's OpenBLAS thread count at the start of the session, None where
+    it cannot be pinned."""
+    with equilibria._blas_pin as pinned:
+        pass
+    return equilibria._blas_pin._threads[0]() if pinned else None
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads_or_pins(blas_threads):
+    """After every test: no thread left running, the BLAS pin left at depth
+    0, and the caller's OpenBLAS thread count restored."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+    assert equilibria._blas_pin._depth == 0
+    if blas_threads is not None:
+        assert equilibria._blas_pin._threads[0]() == blas_threads
 
 
 @pytest.fixture(scope="session")

@@ -226,6 +226,25 @@ def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
     chunked = diagram_csv(sweep(inst5, tanh, grid))
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
     assert diagram_csv(sweep(inst5, tanh, grid)) == chunked
+    monkeypatch.undo()
+    # the default grid at the default budget: its two search chunks, of 500
+    # and 212 levels, run off the main thread on two CPUs (where BLAS can be
+    # pinned to one thread) and in turn on one
+    with equilibria._blas_pin as pinned:
+        pass
+    search_chunk, off_main, runs = equilibria._search_chunk, [], []
+
+    def chunk(*args):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return search_chunk(*args)
+
+    monkeypatch.setattr(equilibria, "_search_chunk", chunk)
+    for cpus in (1, 2):
+        monkeypatch.setattr(equilibria, "_usable_cpus", lambda cpus=cpus: cpus)
+        off_main[:] = []
+        runs.append((diagram_csv(sweep(inst5, tanh)), list(off_main)))
+    assert runs[0][1] == [False] * 2 and runs[1][1] == [pinned] * 2
+    assert runs[0][0] == runs[1][0]
 
 
 def test_two_arrivals_at_one_search_miss_make_one_record(inst5, tanh):
@@ -266,7 +285,7 @@ def test_threaded_successors_equal_the_serial_ones(inst5, tanh, monkeypatch):
     monkeypatch.setattr(bifurcation, "_step", stepped)
     runs = []
     for cpus in (1, 2):
-        monkeypatch.setattr(bifurcation, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(equilibria, "_usable_cpus", lambda cpus=cpus: cpus)
         recs = [eq for eqs in levels for eq in eqs]
         at = [ids.tolist() for ids in np.split(np.arange(len(recs)),
                                                np.cumsum([len(eqs) for eqs in levels])[:-1])]

@@ -432,19 +432,20 @@ def test_chunks_cover_the_grid_in_whole_levels_within_the_budget():
 
 def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     # lazy: a chunk's seed stack is built right before that chunk is
-    # searched, so each worker holds at most one stack at a time
-    events, rows = [], []
+    # searched on the same thread, so each worker holds at most one stack at
+    # a time
+    events, rows = [], {}
     seed_stack = equilibria._seed_stack
 
     def build(pis, scales, uniform):
-        events.append(("build", len(pis)))
+        events.append((threading.get_ident(), "build", len(pis)))
         return seed_stack(pis, scales, uniform)
 
     def search(g, psi, pis, sizes, seeds):
         assert len(seeds) == sum(sizes)
         assert len(pis) == 1 or len(seeds) * g.n ** 2 <= equilibria._STACK_BUDGET
-        events.append(("search", len(pis)))
-        rows.extend(sizes.tolist())
+        events.append((threading.get_ident(), "search", len(pis)))
+        rows[pis[0]] = sizes.tolist()
         return [[] for _ in pis]
 
     monkeypatch.setattr(equilibria, "_seed_stack", build)
@@ -462,9 +463,16 @@ def test_grid_search_builds_each_chunk_when_it_runs(inst5, tanh, monkeypatch):
     # upper root alone at 2 = 1 + alpha, where the lower root has met the
     # origin and the negative root is not yet born; with the upper and the
     # negative root from 2.005 on
-    assert rows == [8] * 111 + [7] + [8] * 600
-    # 500 levels fill 3 999 of the 4 000 rows, then the other 212
-    assert events == [(kind, k) for k in (500, 212) for kind in ("build", "search")]
+    assert [k for first in sorted(rows) for k in rows[first]] == [8] * 111 + [7] + [8] * 600
+    # 500 levels fill 3 999 of the 4 000 rows, then the other 212; each
+    # thread builds and searches one chunk before it takes the next
+    per_thread = {}
+    for ident, kind, k in events:
+        per_thread.setdefault(ident, []).append((kind, k))
+    assert sorted(rows) == sorted(grid[288:][[0, 500]].tolist())
+    assert sorted(k for _, kind, k in events if kind == "build") == [212, 500]
+    for seq in per_thread.values():
+        assert seq == [(kind, k) for _, k in seq[::2] for kind in ("build", "search")]
 
 
 def test_grid_search_classifies_within_the_stack_budget(inst5, tanh, monkeypatch):
@@ -553,10 +561,9 @@ def threaded(monkeypatch):
 def test_searched_levels_run_on_threads_after_low_levels(inst5, tanh, threaded, monkeypatch,
                                                           budget):
     # the levels below the fold level 1.4436 take no chunk: under a budget
-    # of one row per level or of 6 rows per chunk (n = 120's cap, which
-    # would pack one-row low levels into one chunk and turn the search
-    # serial) every level from 1.5 on runs alone off the main thread; every
-    # level holds the origin, which no chunk finds
+    # of one row per level or of 6 rows per chunk (n = 120's cap) every
+    # level from 1.5 on runs alone off the main thread; every level holds
+    # the origin, which no chunk finds
     monkeypatch.setattr(equilibria, "_STACK_BUDGET", budget)
     runs = []
 
@@ -638,18 +645,22 @@ def test_threaded_chunks_run_under_the_callers_errstate(inst5, tanh, threaded, m
     assert seen == [(False, caller)] * 4
 
 
-def test_chunk_threads_and_pins_under_a_short_switch_interval():
-    # more workers than cores, switching threads every microsecond: each
-    # chunk runs once and lands at its index, and the pin's depth count
-    # loses no entry, so the last to leave restores the caller's count
+def test_chunk_threads_and_pins_under_a_short_switch_interval(monkeypatch):
+    # 300 one-row ranges on 8 workers, more than cores, switching threads
+    # every microsecond: each range runs once and lands at its index, and
+    # the pin's depth count loses no entry, so the last to leave restores
+    # the caller's count
     with equilibria._blas_pin as pinned:
         pass
     count = equilibria._blas_pin._threads[0]() if pinned else None
-    ran = []
+    monkeypatch.setattr(equilibria, "_STACK_BUDGET", 1)
+    monkeypatch.setattr(equilibria, "_usable_cpus", lambda: 8)
+    ran, workers = [], set()
 
     def run(a, b):
         with equilibria._blas_pin:
             ran.append(a)
+        workers.add(threading.get_ident())
         return (a, b)
 
     chunks = [(k, k + 1) for k in range(300)]
@@ -658,11 +669,12 @@ def test_chunk_threads_and_pins_under_a_short_switch_interval():
     try:
         for _ in range(5):
             before = threading.active_count()
-            assert equilibria._run_chunks(run, chunks, 8) == chunks
+            assert equilibria._run_chunks(run, np.ones(300, dtype=int), 1) == chunks
             assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
     assert sorted(ran) == sorted(list(range(300)) * 5)
+    assert (threading.get_ident() not in workers) == pinned
     if pinned:
         assert equilibria._blas_pin._depth == 0
         assert equilibria._blas_pin._threads[0]() == count

@@ -382,30 +382,36 @@ def test_grid_search_levels_equal_find_all(g, grid, budget):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(g=ratio_instances(),
-       grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=8, unique=True).map(sorted))
-def test_threaded_grid_search_equals_the_serial_one(g, grid):
-    # bitwise: one level per chunk, on three worker threads (where BLAS can
-    # be pinned to one thread) against one CPU; the levels below the fold
-    # floor are not searched, and a lone searched level runs on the caller's
-    # thread
+       grid=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=8, unique=True).map(sorted),
+       budget=st.sampled_from([1, 2_000]))
+@example(g=hd.random_instance(8, 0.8, 0.4, 1.0, 2), grid=[2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0],
+         budget=2_000)
+def test_threaded_grid_search_equals_the_serial_one(g, grid, budget):
+    # bitwise: chunks of one level, or of several under a budget of 2 000
+    # (the example's 8 agents: chunks of 4 and 3 levels), on three worker
+    # threads (where BLAS can be pinned to one thread) against one CPU; the
+    # levels below the fold floor are not searched, and a lone chunk runs on
+    # the caller's thread
     psi = hd.tanh_family()
     searched = sum(pi >= equilibria._fold_floor(g, psi)[0] for pi in grid)
-    search_chunk, off_main = equilibria._search_chunk, []
+    search_chunk, chunks = equilibria._search_chunk, []
     with equilibria._blas_pin as pinned:
         pass
 
-    def chunk(*args):
-        off_main.append(threading.current_thread() is not threading.main_thread())
-        return search_chunk(*args)
+    def chunk(g_, psi_, pis, *args):
+        chunks.append((len(pis), threading.current_thread() is not threading.main_thread()))
+        return search_chunk(g_, psi_, pis, *args)
 
-    with mock.patch.object(equilibria, "_STACK_BUDGET", 1), \
+    with mock.patch.object(equilibria, "_STACK_BUDGET", budget), \
             mock.patch.object(equilibria, "_search_chunk", chunk):
         with mock.patch.object(equilibria, "_usable_cpus", lambda: 3):
             threaded = _search_grid(g, psi, grid)
-        assert off_main == [pinned and searched > 1] * searched
+        assert sum(k for k, _ in chunks) == searched
+        assert [off for _, off in chunks] == [pinned and len(chunks) > 1] * len(chunks)
+        count, chunks[:] = len(chunks), []
         with mock.patch.object(equilibria, "_usable_cpus", lambda: 1):
             serial = _search_grid(g, psi, grid)
-    assert not any(off_main[searched:])
+    assert chunks == [(k, False) for k, _ in chunks] and len(chunks) == count
     assert [_records(eqs) for eqs in threaded] == [_records(eqs) for eqs in serial]
 
 
@@ -789,6 +795,8 @@ def test_bistable_window_by_sampling_and_the_metzler_identity(g):
     psi = hd.tanh_family()
     alpha, ones, mass = g.alpha, np.ones(g.n), g.a2.sum(axis=1)
     lo, hi = bifurcation.bistability_interval(g, psi)
+    assert hi == 1.0 + alpha
+    assert hi == pytest.approx(thresholds(g).pi1, rel=1e-12, abs=0)
     for t in range(1, 6):
         pi = lo + (hi - lo) * t / 6.0
         s = SystemInstance(g, psi, pi)
