@@ -9,7 +9,6 @@ as its stability change.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -277,25 +276,24 @@ def basin_probe(s: SystemInstance, radii: Sequence[float]) -> BasinReport:
     return BasinReport(radii=radii, labels=tuple(labels), finals=tuple(finals))
 
 
+def _diagram_rows(result: SweepResult) -> list:
+    """(pi, branch id, equilibrium) of every branch point, sorted by effort,
+    then branch id."""
+    return sorted(((pi, b.branch_id, eq) for b in result.branches for pi, eq in b.points),
+                  key=lambda r: r[:2])
+
+
 def diagram_csv(result: SweepResult) -> str:
-    rows = []
-    n = None
-    for b in result.branches:
-        for pi, eq in b.points:
-            n = eq.state.size
-            rows.append((pi, b.branch_id, eq))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    buf = io.StringIO()
-    head = "pi,branch_id,stable,x_norm_inf"
-    if n is not None:
-        head += "," + ",".join(f"x{i + 1}" for i in range(n))
-    buf.write(head + "\n")
-    for pi, bid, eq in rows:
-        buf.write(format(pi, ".17g") + f",{bid},"
-                  + ("1" if eq.classification == "stable" else "0") + ","
-                  + format(eq.norm_inf, ".17g") + ","
-                  + ",".join(format(float(v), ".17g") for v in eq.state) + "\n")
-    return buf.getvalue()
+    """One row per branch point, by effort then branch id: pi, branch id,
+    stable (1/0), sup norm and the state, floats as %.17g. A result with no
+    point gives the header without state columns."""
+    rows = _diagram_rows(result)
+    n = rows[0][2].state.size if rows else 0
+    head = "pi,branch_id,stable,x_norm_inf" + "".join(f",x{i + 1}" for i in range(n))
+    row = "%.17g,%d,%d,%.17g" + ",%.17g" * n + "\n"
+    return head + "\n" + "".join(
+        row % (pi, bid, eq.classification == "stable", eq.norm_inf, *eq.state.tolist())
+        for pi, bid, eq in rows)
 
 
 def write_diagram_csv(result: SweepResult, path) -> None:
@@ -307,21 +305,15 @@ def write_diagram_svg(result: SweepResult, path, coord: int = 0) -> None:
     """Scatter of one state coordinate against effort. Stable points are
     solid, the rest hollow. Plain hand-written SVG, byte-deterministic.
     Raises DimensionError when ``coord`` is outside [0, n)."""
-    pts = []
-    for b in result.branches:
-        for pi, eq in b.points:
-            if not 0 <= coord < eq.state.size:
-                raise DimensionError(f"coordinate {coord} is outside [0, {eq.state.size})")
-            pts.append((pi, float(eq.state[coord]), eq.classification == "stable", b.branch_id))
-    pts.sort(key=lambda p: (p[0], p[3]))
+    rows = _diagram_rows(result)
+    if rows and not 0 <= coord < rows[0][2].state.size:
+        raise DimensionError(f"coordinate {coord} is outside [0, {rows[0][2].state.size})")
+    xs = [pi for pi, _, _ in rows]
+    ys = [float(eq.state[coord]) for _, _, eq in rows]
     w, h, m = 800, 500, 55
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-    else:
-        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, -1.0, 1.0
+    # no point reads as one at (0, 0): the widening below gives (0, 1) x (-1, 1)
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     if x_hi - x_lo < 1e-12:
         x_hi = x_lo + 1.0
     if y_hi - y_lo < 1e-12:
@@ -352,9 +344,9 @@ def write_diagram_svg(result: SweepResult, path, coord: int = 0) -> None:
                f'text-anchor="middle">effort</text>')
     out.append(f'<text x="16" y="{h / 2:.0f}" font-size="12" text-anchor="middle" '
                f'transform="rotate(-90 16 {h / 2:.0f})">x{coord + 1}</text>')
-    for pi, y, stable, _ in pts:
+    for (pi, _, eq), y in zip(rows, ys):
         cx, cy = sx(pi), sy(y)
-        if stable:
+        if eq.classification == "stable":
             out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="#1f6fb5"/>')
         else:
             out.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="2" fill="none" '

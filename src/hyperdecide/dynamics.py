@@ -16,7 +16,6 @@ start alone; ``integrate`` is its one-state case.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -313,12 +312,9 @@ def sup_norm_report(s: SystemInstance, x0, t_max: float = T_MAX):
 
 def trajectory_csv(traj: Trajectory) -> str:
     n = traj.states.shape[1]
-    buf = io.StringIO()
-    buf.write("t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-    for t, row in zip(traj.times, traj.states):
-        buf.write(format(float(t), ".17g") + ","
-                  + ",".join(format(float(v), ".17g") for v in row) + "\n")
-    return buf.getvalue()
+    row = "%.17g" + ",%.17g" * n + "\n"
+    return "t," + ",".join(f"x{i + 1}" for i in range(n)) + "\n" + "".join(
+        row % (t, *x) for t, x in zip(traj.times.tolist(), traj.states.tolist()))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

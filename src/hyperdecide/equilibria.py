@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
-import io
 import math
 import os
 import threading
@@ -522,8 +521,6 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
         raise ValueError(f"transmission family {psi.name!r} fails the {failed[0]!r} clause of "
                          "verify_assumptions: the consensus roots and seeds assume it")
     pis = np.array(levels, dtype=float).reshape(-1)
-    if not pis.size:
-        return []
     for pi in (pis.min(), pis.max()):  # the refusals of every level's SystemInstance
         SystemInstance(graph=g, psi=psi, pi=float(pi))
     # The origin is an equilibrium at every level, since psi(0) = 0 (the odd
@@ -717,18 +714,13 @@ def normal_form_coeffs(g: Hypergraph2, psi: Optional[SigmoidFamily] = None) -> t
 
 
 def equilibria_csv(eqs: Sequence[Equilibrium]) -> str:
-    if not eqs:
-        return "pi,eq_index,classification,max_real_eig,is_consensus\n"
-    n = eqs[0].state.size
-    buf = io.StringIO()
-    buf.write("pi,eq_index,classification,max_real_eig,is_consensus,"
-              + ",".join(f"x{i + 1}" for i in range(n)) + "\n")
-    for idx, eq in enumerate(eqs):
-        buf.write(format(eq.pi, ".17g") + f",{idx},{eq.classification},"
-                  + format(eq.max_real_eig, ".17g") + ","
-                  + ("1" if eq.is_consensus else "0") + ","
-                  + ",".join(format(float(v), ".17g") for v in eq.state) + "\n")
-    return buf.getvalue()
+    n = eqs[0].state.size if eqs else 0
+    head = "pi,eq_index,classification,max_real_eig,is_consensus" + "".join(
+        f",x{i + 1}" for i in range(n))
+    row = "%.17g,%d,%s,%.17g,%d" + ",%.17g" * n + "\n"
+    return head + "\n" + "".join(
+        row % (eq.pi, idx, eq.classification, eq.max_real_eig, eq.is_consensus, *eq.state.tolist())
+        for idx, eq in enumerate(eqs))
 
 
 def write_equilibria_csv(eqs: Sequence[Equilibrium], path) -> None:

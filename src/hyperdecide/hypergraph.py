@@ -194,11 +194,6 @@ def _pair_rows(g: Hypergraph2, p: np.ndarray) -> np.ndarray:
     return mass.reshape(p.shape + (n,))
 
 
-def _received_mass(g: Hypergraph2) -> np.ndarray:
-    """(i, k): total weight agent i puts on pairs that hold agent k."""
-    return _pair_rows(g, np.ones(g.n))
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -449,22 +444,12 @@ def scale_two_interactions(g: Hypergraph2, factor: float) -> Hypergraph2:
 
 # -- text format ---------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def to_text(g: Hypergraph2) -> str:
-    lines = []
-    alpha = "none" if g.alpha is None else _fmt(g.alpha)
-    lines.append(f"n={g.n} alpha={alpha}")
-    lines.append("[A2]")
-    for row in g.a2:
-        lines.append(" ".join(_fmt(v) for v in row))
-    for i, block in enumerate(g.b, 1):
-        lines.append(f"[B{i}]")
-        for row in block:
-            lines.append(" ".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * g.n) + "\n"
+    alpha = "none" if g.alpha is None else "%.17g" % g.alpha
+    blocks = [("A2", g.a2)] + [(f"B{i}", block) for i, block in enumerate(g.b, 1)]
+    return f"n={g.n} alpha={alpha}\n" + "".join(
+        f"[{name}]\n" + "".join(row % tuple(r) for r in m.tolist()) for name, m in blocks)
 
 
 def _parse_matrix(lines, start, n, label):

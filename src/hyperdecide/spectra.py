@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, MultiplicityError, NotSymmetricError
-from .hypergraph import Hypergraph2, _received_mass
+from .hypergraph import Hypergraph2, _pair_rows
 
 __all__ = [
     "Spectrum",
@@ -135,7 +135,7 @@ def h_matrix(g: Hypergraph2) -> np.ndarray:
     """Combined influence matrix: row i is (pairwise row i + mass agent i
     assigns to each peer over 2-interactions) divided by the degree.
     Row-stochastic by construction."""
-    return (g.a2 + _received_mass(g)) / g.degrees[:, None]
+    return (g.a2 + _pair_rows(g, np.ones(g.n))) / g.degrees[:, None]
 
 
 def thresholds(g: Hypergraph2) -> Thresholds:
@@ -151,11 +151,7 @@ def thresholds(g: Hypergraph2) -> Thresholds:
 
 
 def thresholds_text(t: Thresholds) -> str:
-    """Flat key=value block; infinities spelled 'inf'."""
-    def fmt(x):
-        return "inf" if np.isinf(x) else format(float(x), ".17g")
-
-    lines = [f"pi1={fmt(t.pi1)}", f"pi2={fmt(t.pi2)}", f"pi_tilde1={fmt(t.pi_tilde1)}"]
-    if t.pi1_star is not None:
-        lines.append(f"pi1_star={fmt(t.pi1_star)}")
-    return "\n".join(lines) + "\n"
+    """Flat key=value block, one line per threshold, values as %.17g (an
+    infinity is 'inf'); pi1_star only when it is filled."""
+    keys = ("pi1", "pi2", "pi_tilde1") + (() if t.pi1_star is None else ("pi1_star",))
+    return "".join("%s=%.17g\n" % (key, getattr(t, key)) for key in keys)

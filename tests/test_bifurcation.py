@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from hyperdecide.bifurcation import (
     write_diagram_csv,
     write_diagram_svg,
 )
-from hyperdecide.dynamics import SystemInstance
+from hyperdecide.dynamics import T_MAX, SystemInstance, integrate
 from hyperdecide import bifurcation, dynamics, equilibria
-from hyperdecide.equilibria import ScalarReduced, pi1_star
+from hyperdecide.equilibria import ScalarReduced, consensus_roots, pi1_star
 from hyperdecide.errors import DimensionError, NoBistabilityError
 
 PI_FOLD = 1.4436264328094527
@@ -439,6 +440,22 @@ def test_basin_probe_at_large_effort_reaches_the_upper_state(inst5, tanh):
         assert np.abs(x - 60.0).max() < 1e-9
 
 
+def test_basin_probe_labels_a_run_stopped_at_t_max_other(inst5, tanh):
+    # inside the window, half the lower consensus root decays to the origin
+    # too slowly for RK4 to meet its residual before t_max: the run ends in
+    # the origin ball, but the unconverged stop alone labels it
+    s = SystemInstance(graph=inst5, psi=tanh, pi=1.95)
+    c_minus = min(consensus_roots(ScalarReduced(alpha=1.0, pi=1.95), tanh))
+    assert c_minus == pytest.approx(0.025876, abs=1e-6)
+    report = basin_probe(s, [0.5 * c_minus])
+    assert report.labels == ("other",)
+    assert not report.monotone
+    traj = integrate(s, 0.5 * c_minus * np.ones(inst5.n))
+    assert not traj.converged and traj.times[-1] == pytest.approx(T_MAX)
+    assert np.array_equal(report.finals[0], traj.states[-1])
+    assert np.abs(report.finals[0]).max() < 1e-4
+
+
 def test_diagram_csv_layout(small_sweep):
     text = diagram_csv(small_sweep)
     lines = text.strip().splitlines()
@@ -477,3 +494,35 @@ def test_diagram_svg_coordinate_outside_the_state(small_sweep, tmp_path, coord):
     with pytest.raises(DimensionError):
         write_diagram_svg(small_sweep, tmp_path / "bad.svg", coord=coord)
     assert not (tmp_path / "bad.svg").exists()
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+EMPTY_Y_TICKS = ["-1", "-0.6", "-0.2", "0.2", "0.6", "1"]
+
+
+@pytest.mark.parametrize("levels, x_ticks, y_ticks, points", [
+    (None, ["0", "0.2", "0.4", "0.6", "0.8", "1"], EMPTY_Y_TICKS, 0),  # no point at all
+    # one effort level: three equilibria, so only the effort range is degenerate
+    ([1.7], ["1.7", "1.9", "2.1", "2.3", "2.5", "2.7"], None, 3),
+    # below the fold every record is the origin: x1 is constant
+    ([0.3, 0.5, 0.7], ["0.3", "0.38", "0.46", "0.54", "0.62", "0.7"], EMPTY_Y_TICKS, 3),
+])
+def test_diagram_svg_widens_a_degenerate_range(inst5, tanh, tmp_path, levels, x_ticks, y_ticks,
+                                               points):
+    if levels is None:
+        result = bifurcation.SweepResult(grid=np.array([1.0]), branches=[])
+    else:
+        result = sweep(inst5, tanh, levels)
+    path = tmp_path / "diagram.svg"
+    write_diagram_svg(result, path)
+    root = ET.parse(path).getroot()
+    ticks = {anchor: [t.text for t in root.iter(SVG + "text")
+                      if t.get("font-size") == "11" and t.get("text-anchor") == anchor]
+             for anchor in ("middle", "end")}
+    assert ticks["middle"] == x_ticks
+    if y_ticks is not None:
+        assert ticks["end"] == y_ticks
+    else:
+        assert len(set(ticks["end"])) == 6
+    assert sum(len(b.points) for b in result.branches) == points
+    assert len(list(root.iter(SVG + "circle"))) == points

@@ -19,7 +19,7 @@ from hyperdecide.errors import DivergenceError
 from hyperdecide import bifurcation, equilibria
 from hyperdecide.equilibria import (ScalarReduced, _newton_rows, _search_grid, consensus_gap,
                                     consensus_roots, equilibria_csv, find_all, pi1_star)
-from hyperdecide.hypergraph import _pair_rows, _received_mass, _triple_term_of
+from hyperdecide.hypergraph import _pair_rows, _triple_term_of
 from hyperdecide.spectra import thresholds
 
 ORDER_TOL = 1e-12
@@ -51,22 +51,30 @@ def triple_lists(draw):
 
 
 CONTRACTION_RTOL = 1e-13
+# a product that underflows rounds to the subnormal grid, off by up to half
+# its step however small the product: no relative bound covers it
+SUBNORMAL_STEP = np.finfo(float).smallest_subnormal
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(g=triple_lists(), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 9))
+# subnormal triple weights: einsum rounds each w p_j to the subnormal grid
+@example(g=hd.random_instance(3, 1.0, 1.0, 1e-323, 0), seed=0, m=1)
 def test_triple_contractions_match_einsum(g, seed, m):
-    # each sum is compared on the scale of its terms' magnitudes
+    # each sum is compared on the scale of its terms' magnitudes, plus half
+    # a subnormal step for each product that may underflow: two a term in
+    # einsum (w p_j, then p_k), one here ((p_j p_k) w)
     P = np.tanh(np.random.default_rng(seed).uniform(-3.0, 3.0, (m, g.n)))
+    underflow = 1.5 * SUBNORMAL_STEP * np.count_nonzero(g.b, axis=(1, 2))
     for p in (P, P[0]):
         term = np.einsum("ijk,...j,...k->...i", g.b, p, p)
         scale = np.einsum("ijk,...j,...k->...i", g.b, np.abs(p), np.abs(p))
-        assert np.all(np.abs(_triple_term_of(g)(p) - term) <= CONTRACTION_RTOL * scale)
+        assert np.all(np.abs(_triple_term_of(g)(p) - term) <= CONTRACTION_RTOL * scale + underflow)
         rows = np.einsum("ijk,...k->...ij", g.b, p)
         scale = np.einsum("ijk,...k->...ij", g.b, np.abs(p))
         assert np.all(np.abs(_pair_rows(g, p) - rows) <= CONTRACTION_RTOL * scale)
     mass = g.b.sum(axis=1)
-    assert np.all(np.abs(_received_mass(g) - mass) <= CONTRACTION_RTOL * mass)
+    assert np.all(np.abs(_pair_rows(g, np.ones(g.n)) - mass) <= CONTRACTION_RTOL * mass)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,5 +1,7 @@
 """The traced benchmark rebinds functions by name; every name must exist,
-and a traced basin probe, integration and sweep must still run."""
+and a traced basin probe, integration and sweep must still run. A module
+imports nothing it does not use, save the names the tracer rebinds."""
+import ast
 import importlib.util
 import json
 import os
@@ -21,6 +23,32 @@ def test_every_traced_binding_resolves():
                for module, attr in bindings
                if not callable(getattr(getattr(hd, module, None), attr, None))]
     assert not missing
+
+
+def _assigned(tree, name, default=None):
+    """The literal value of the module-level assignment to ``name``."""
+    return next((ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == name), default)
+
+
+def test_modules_import_only_what_they_use_or_the_tracer_binds():
+    # read, not run: the tracer's bindings are the one licence for a name
+    # imported and never used
+    bound = {pair for pairs in _assigned(ast.parse(TRACING.read_text()), "BINDINGS").values()
+             for pair in pairs}
+    unused = set()
+    for path in sorted(Path(hd.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import)
+                    or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(_assigned(tree, "__all__", []))
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused <= bound, sorted(unused - bound)
 
 
 SMOKE = """
