@@ -151,7 +151,7 @@ def thresholds(g: Hypergraph2) -> Thresholds:
 
 
 def thresholds_text(t: Thresholds) -> str:
-    """Flat key=value block, one line per threshold, values as %.17g (an
-    infinity is 'inf'); pi1_star only when it is filled."""
+    """Flat key=value block, one line per threshold, values as %.17g writes
+    them (infinities 'inf' and '-inf'); pi1_star only when it is filled."""
     keys = ("pi1", "pi2", "pi_tilde1") + (() if t.pi1_star is None else ("pi1_star",))
     return "".join("%s=%.17g\n" % (key, getattr(t, key)) for key in keys)
