@@ -20,9 +20,9 @@ from .nonlinearity import SigmoidFamily, tanh_family
 # integrate, find_all, classify, _newton_raw and thresholds are not called
 # here; benchmarks/tracing.py binds them by these names
 from .dynamics import SystemInstance, _jacobian, _rk4_rows, integrate
-from .equilibria import (ScalarReduced, _classify_rows, _newton_raw, _newton_rows, _blas_pin,
-                         _run_chunks, _same_equilibrium, _search_grid, _solve_rows, classify,
-                         consensus_roots, find_all, pi1_star)
+from .equilibria import (ScalarReduced, _classify_rows, _newton_raw, _newton_rows, _run_chunks,
+                         _same_equilibrium, _search_grid, _solve_rows, classify, consensus_roots,
+                         find_all, pi1_star)
 from .spectra import thresholds
 
 __all__ = [
@@ -144,13 +144,14 @@ def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list
     record's last step, to level t, matches (``_same_equilibrium``), and
     ``near``, the sup distance of that step's prediction to it. A round's
     arrivals are matched one at a time in level order: one that matches no
-    record is a search miss, kept as a new record that later arrivals can
-    match, and continued. The origin, whose tangent is +-0, lands on the next
-    level's first record, the origin, at distance 0.0 without a step. A round
-    runs its steps, and those steps back, by ``_run_chunks`` with BLAS on
-    one thread (``_blas_pin``). A row's steps do not depend on its stack, so
-    the records are those of the ranges in turn."""
+    record is a search miss, kept as a state that later arrivals can match,
+    and continued. The origin, whose tangent is +-0, lands on the next
+    level's first record, the origin, at distance 0.0 without a step. Each
+    round's steps and steps back, then all misses' eigensolves, run by
+    ``_run_chunks``; the misses join ``recs`` in the order they were found.
+    A row's result does not depend on its stack or range."""
     nxt, near = {}, {}
+    states, levels, residuals = [eq.state for eq in recs], [], []  # a miss adds to all three
     # steps: (record, state, level from, level to, index of the next grid level)
     todo, fresh = [], [(r, k) for k, ids in enumerate(at) for r in ids]
 
@@ -162,34 +163,39 @@ def _successors(g: Hypergraph2, psi: SigmoidFamily, grid: np.ndarray, recs: list
         stands[ok] = back_ok & _same_equilibrium(back, X[ok])
         return y, res, pred, ok, stands
 
-    with _blas_pin:
-        while todo or fresh:
-            for q, t in (w for w in fresh if w[1] + 1 < grid.size):
-                if recs[q].state.any():
-                    todo.append((q, recs[q].state, grid[t], grid[t + 1], t + 1))
-                else:
-                    nxt[q], near[q] = at[t + 1][0], 0.0
-            parts = _run_chunks(run, np.ones(len(todo), dtype=int), g.n)
-            pending, arrived, fresh = [], [], []
-            for (r, x, a_pi, b_pi, t), y, res, pred, ok, stands in zip(
-                    todo, *(np.concatenate(field) for field in zip(*parts))):
-                if stands and b_pi < grid[t]:
-                    pending.append((r, y, b_pi, grid[t], t))
-                elif stands:
-                    arrived.append((t, r, y, res, pred))
-                elif ok and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
-                    pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
-            for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
-                same = _same_equilibrium(y, np.array([recs[q].state for q in at[t]]))
-                if same.any():
-                    hit = at[t][same.argmax()]
-                else:  # a search miss: a new record of level t
-                    hit = len(recs)
-                    recs += _classify_rows(g, psi, [float(grid[t])], y[None], [res])
-                    at[t].append(hit)
-                    fresh.append((hit, t))
-                nxt[r], near[r] = hit, float(np.abs(pred - recs[hit].state).max())
-            todo = pending
+    while todo or fresh:
+        for q, t in (w for w in fresh if w[1] + 1 < grid.size):
+            if states[q].any():
+                todo.append((q, states[q], grid[t], grid[t + 1], t + 1))
+            else:
+                nxt[q], near[q] = at[t + 1][0], 0.0
+        parts = _run_chunks(run, np.ones(len(todo), dtype=int), g.n)
+        pending, arrived, fresh = [], [], []
+        for (r, x, a_pi, b_pi, t), y, res, pred, ok, stands in zip(
+                todo, *(np.concatenate(field) for field in zip(*parts))):
+            if stands and b_pi < grid[t]:
+                pending.append((r, y, b_pi, grid[t], t))
+            elif stands:
+                arrived.append((t, r, y, res, pred))
+            elif ok and a_pi < 0.5 * (a_pi + b_pi) < b_pi:
+                pending.append((r, x, a_pi, 0.5 * (a_pi + b_pi), t))
+        for t, r, y, res, pred in sorted(arrived, key=lambda w: w[0]):
+            same = _same_equilibrium(y, np.array([states[q] for q in at[t]]))
+            if same.any():
+                hit = at[t][same.argmax()]
+            else:  # a search miss: a new record of level t
+                hit = len(states)
+                states.append(y)
+                levels.append(float(grid[t]))
+                residuals.append(res)
+                at[t].append(hit)
+                fresh.append((hit, t))
+            nxt[r], near[r] = hit, float(np.abs(pred - states[hit]).max())
+        todo = pending
+    X = np.array(states[len(recs):])
+    recs += [eq for part in _run_chunks(lambda a, b: _classify_rows(
+        g, psi, levels[a:b], X[a:b], residuals[a:b]), np.ones(len(X), dtype=int), g.n)
+        for eq in part]
     return nxt, near
 
 
@@ -291,9 +297,10 @@ def diagram_csv(result: SweepResult) -> str:
     n = rows[0][2].state.size if rows else 0
     head = "pi,branch_id,stable,x_norm_inf" + "".join(f",x{i + 1}" for i in range(n))
     row = "%.17g,%d,%d,%.17g" + ",%.17g" * n + "\n"
+    states = np.array([eq.state for _, _, eq in rows]).reshape(len(rows), n)
     return head + "\n" + "".join(
-        row % (pi, bid, eq.classification == "stable", eq.norm_inf, *eq.state.tolist())
-        for pi, bid, eq in rows)
+        row % (pi, bid, eq.classification == "stable", norm, *x) for (pi, bid, eq), norm, x in zip(
+            rows, np.abs(states).max(axis=1, initial=0.0).tolist(), states.tolist()))
 
 
 def write_diagram_csv(result: SweepResult, path) -> None:

@@ -33,12 +33,12 @@ every consensus equilibrium but the origin. Without one they are c * ones
 for c in +-linspace(0, pi + 1, 11). The roots of all levels come from one
 array bisection, each element following the scalar loop, so every level's
 seed count is known before any stack exists; each chunk's seeds are built
-in one pass, bitwise the per-level rule. A search pins numpy's OpenBLAS to
-one thread (``_blas_pin``); where that pin holds, its chunks run on threads
-once there are two (``_run_chunks``). Two states are the same equilibrium
-when they lie within sup distance max(1e-6, 1e-12 |y|_inf) of each other, y
-the one kept first (``_same_equilibrium``); the sweep's threading uses the
-same test.
+in one pass, bitwise the per-level rule. Every LAPACK call of a search or
+a sweep is a stacked call in a range of ``_run_chunks``, the only code that
+pins OpenBLAS to one thread (``_blas_pin``); where it holds, ranges run
+on threads. Two states are the same equilibrium when they lie within sup
+distance max(1e-6, 1e-12 |y|_inf) of each other, y the one kept first
+(``_same_equilibrium``); the sweep's threading uses the same test.
 """
 from __future__ import annotations
 
@@ -271,11 +271,11 @@ def pi1_star(alpha: float, psi: Optional[SigmoidFamily] = None) -> tuple[float, 
 class _BlasPin:
     """numpy's bundled OpenBLAS (``numpy.libs/*openblas*``) on one thread
     while the body runs, so a solve's last bits do not depend on the
-    caller's BLAS thread count; entering returns whether it could. The
-    library and its ``_BLAS_SYMBOLS`` are looked up on first use. Entries
-    may nest and overlap across threads: the first sets one thread, and the
-    last to leave restores the caller's count. Without a library or symbol
-    the body runs unpinned."""
+    caller's BLAS thread count; entering returns whether it could. Only
+    ``_run_chunks`` enters it. The library and its ``_BLAS_SYMBOLS`` are
+    looked up on first use. Entries may nest and overlap across threads:
+    the first sets one thread, and the last to leave restores the caller's
+    count. Without a library or symbol the body runs unpinned."""
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -323,17 +323,15 @@ _blas_pin = _BlasPin()
 
 def _solve_rows(j: np.ndarray, rhs: np.ndarray):
     """The solutions of the systems j[r] x = rhs[r] (j (m, n, n), rhs (m, n))
-    and which rows were solved: one stacked solve, or one solve per row when
-    some matrix is singular, whose row is left 0."""
+    and which rows were solved: one stacked solve, or, when the stack holds
+    singular matrices (``slogdet``'s sign 0, where dgetrf meets a zero
+    pivot), their rows left 0 and the rest solved in one stacked call."""
     try:
         return np.linalg.solve(j, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
     except np.linalg.LinAlgError:
-        x, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
-        for r in range(len(rhs)):
-            try:
-                x[r] = np.linalg.solve(j[r], rhs[r])
-            except np.linalg.LinAlgError:
-                solved[r] = False
+        solved = np.linalg.slogdet(j)[0] != 0.0
+        x = np.zeros_like(rhs)
+        x[solved] = np.linalg.solve(j[solved], rhs[solved][..., None])[..., 0]
         return x, solved
 
 
@@ -443,14 +441,12 @@ def _classify_rows(g: Hypergraph2, psi: SigmoidFamily, levels: Sequence[float], 
                       np.where(tops > _STABLE_TOL, "unstable", "marginal"))
     spread = np.abs(X - X.mean(axis=1, keepdims=True)).max(axis=1)
     consensus = spread <= np.maximum(_CONSENSUS_TOL, _CONSENSUS_RTOL * np.abs(X).max(axis=1))
-    eqs = []
-    for x, pi, residual, label, top, flag in zip(X, levels, residuals, labels.tolist(),
-                                                 tops.tolist(), consensus.tolist()):
-        state = x.copy()
-        state.setflags(write=False)
-        eqs.append(Equilibrium(state=state, pi=pi, residual=float(residual),
-                               classification=label, max_real_eig=top, is_consensus=flag))
-    return eqs
+    states = X.copy()  # each record's state is a read-only row of it
+    states.setflags(write=False)
+    return [Equilibrium(state=x, pi=pi, residual=float(residual), classification=label,
+                        max_real_eig=top, is_consensus=flag)
+            for x, pi, residual, label, top, flag in zip(
+                states, levels, residuals, labels.tolist(), tops.tolist(), consensus.tolist())]
 
 
 def classify(s: SystemInstance, x, residual: Optional[float] = None) -> Equilibrium:
@@ -513,8 +509,7 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     first: with a shared ratio the roots of one bisection, else the grid.
     Their counts give every level's seed count, by which ``_chunks`` groups
     the levels; a chunk's seed stack is built when the chunk runs
-    (``_search_chunk``). The search holds BLAS at one thread
-    (``_blas_pin``); the origin rows and the chunks both go through
+    (``_search_chunk``). The origin rows and the chunks both go through
     ``_run_chunks``, with the serial loop's results and errors."""
     failed = [c.name for c in verify_assumptions(psi).clauses if not c.passed]
     if failed:
@@ -527,30 +522,29 @@ def _search_grid(g: Hypergraph2, psi: SigmoidFamily, levels) -> list[list[Equili
     # clause). Its Jacobian pi psi'(0) A2 - D is symmetric bit for bit (build
     # refuses an asymmetric A2, and every column takes the same factor), so
     # its spectrum is real.
-    with _blas_pin:
-        origins = _run_chunks(lambda a, b: _classify_rows(
-            g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)), np.zeros(b - a), symmetric=True),
-            np.ones(pis.size, dtype=int), g.n)
-        per_level = [[eq] for part in origins for eq in part]
-        # the floor is at least 1: levels below 1 need not bisect the fold
-        floor, fold_state = _fold_floor(g, psi) if pis.max() >= 1.0 else (1.0, 0.0)
-        high = np.flatnonzero(pis >= floor)
-        if not high.size:
-            return per_level
-        pis = pis[high]
-        if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
-            c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
-            scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
-        else:
-            scales = _consensus_roots(g.alpha, pis, psi, fold_state)
-        sizes = np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
-        uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
+    origins = _run_chunks(lambda a, b: _classify_rows(
+        g, psi, pis[a:b].tolist(), np.zeros((b - a, g.n)), np.zeros(b - a), symmetric=True),
+        np.ones(pis.size, dtype=int), g.n)
+    per_level = [[eq] for part in origins for eq in part]
+    # the floor is at least 1: levels below 1 need not bisect the fold
+    floor, fold_state = _fold_floor(g, psi) if pis.max() >= 1.0 else (1.0, 0.0)
+    high = np.flatnonzero(pis >= floor)
+    if not high.size:
+        return per_level
+    pis = pis[high]
+    if g.alpha is None:  # no invariant consensus line: +-c for each c > 0 of the grid
+        c = np.linspace(0.0, pis + 1.0, _SEED_CONSENSUS_POINTS, axis=1)[:, 1:]
+        scales = np.stack([c, -c], axis=2).reshape(pis.size, 2 * c.shape[1])
+    else:
+        scales = _consensus_roots(g.alpha, pis, psi, fold_state)
+    sizes = np.count_nonzero(~np.isnan(scales), axis=1) + _SEED_RANDOM_COUNT
+    uniform = np.random.default_rng(_SEED_RNG).random((_SEED_RANDOM_COUNT, g.n))
 
-        def run(a, b):
-            return _search_chunk(g, psi, pis[a:b], sizes[a:b],
-                                 _seed_stack(pis[a:b], scales[a:b], uniform))
+    def run(a, b):
+        return _search_chunk(g, psi, pis[a:b], sizes[a:b],
+                             _seed_stack(pis[a:b], scales[a:b], uniform))
 
-        parts = _run_chunks(run, sizes, g.n)
+    parts = _run_chunks(run, sizes, g.n)
     for i, found in zip(high.tolist(), (eqs for part in parts for eqs in part)):
         per_level[i] += found
     return per_level
@@ -603,13 +597,13 @@ def _usable_cpus() -> int:
 def _run_chunks(run, sizes, n: int) -> list:
     """``run(a, b)`` for every ``_chunks`` range (a, b) of the row counts
     ``sizes`` at ``n`` agents, the results in range order, with BLAS held
-    at one thread (``_blas_pin``). Where that pin holds and there are at
-    least two ranges, they run on min(usable CPUs, ranges) threads, else in
-    turn (the README gives the timings). A thread takes the next range from
-    a shared counter and runs it in a copy of the caller's context (numpy's
-    errstate lives there). Once a range raises, no range after it starts;
-    all threads are joined, and the error of the first failing range in
-    range order is raised, the one the loop in turn raises."""
+    at one thread (``_blas_pin``): every LAPACK call of a search or a sweep
+    runs in one of its ranges. Where that pin holds and there are at least
+    two ranges, they run on min(usable CPUs, ranges) threads, else in turn
+    (the README gives the timings). A thread takes the next range from a
+    shared counter and runs it in a copy of the caller's context (numpy's
+    errstate lives there). Once a range raises, no later range starts; all
+    threads are joined, and the first failing range's error is raised."""
     chunks = list(_chunks(sizes, n))
     with _blas_pin as pinned:
         workers = min(_usable_cpus(), len(chunks)) if pinned else 1

@@ -14,7 +14,7 @@ class DimensionError(HyperdecideError):
 
 
 class NonFiniteWeightError(HyperdecideError):
-    """An interaction weight is infinite or NaN."""
+    """An interaction weight, or an agent's generalized degree, is infinite or NaN."""
 
 
 class AsymmetryError(HyperdecideError):

@@ -219,8 +219,8 @@ def is_connected(support: np.ndarray) -> bool:
 
 
 def _arrays(a2, b):
-    """Float arrays of checked shape with the per-agent pairwise and
-    2-interaction weight totals: (a2, b, pair_mass, tri_mass)."""
+    """Float arrays of checked shape, the per-agent pairwise and 2-interaction
+    weight totals and their sums, the degrees: (a2, b, pair_mass, tri_mass, deg)."""
     a2 = np.asarray(a2, dtype=float)
     if a2.ndim != 2 or a2.shape[0] != a2.shape[1]:
         raise DimensionError(f"pairwise adjacency must be square, got shape {a2.shape}")
@@ -232,7 +232,9 @@ def _arrays(a2, b):
         raise DimensionError(
             f"2-interaction stack must have shape {(n, n, n)}, got {b.shape}"
         )
-    return a2, b, a2.sum(axis=1), b.sum(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf is nan
+        pair_mass, tri_mass = a2.sum(axis=1), b.sum(axis=(1, 2))
+        return a2, b, pair_mass, tri_mass, pair_mass + tri_mass
 
 
 def _first(mask: np.ndarray):
@@ -297,6 +299,8 @@ _CHECKS = (
            lambda a2, b, deg: _first(b < 0.0),
            "2-interaction weights must be nonnegative: agent {0}, entry ({1},{2})",
            "first offender agent {0}, pair ({1},{2})"),
+    _Check("finite degrees", NonFiniteWeightError, lambda a2, b, deg: _first(~np.isfinite(deg)),
+           "agent {0}'s generalized degree overflows the float range", "agent {0}"),
     _Check("positive degrees", ZeroDegreeError, lambda a2, b, deg: _first(deg <= 0.0),
            "agent {0} has generalized degree 0", "agent {0}"),
 )
@@ -322,16 +326,15 @@ def _raise_first(a2, b, deg, checks=_CHECKS):
 
 def validation_report(a2, b) -> list[CheckResult]:
     """Run every structural check and report instead of raising."""
-    a2, b, pair_mass, tri_mass = _arrays(a2, b)
+    a2, b, _, _, deg = _arrays(a2, b)
     return [CheckResult(name, err is None, detail)
-            for name, err, detail in _run_checks(a2, b, pair_mass + tri_mass)]
+            for name, err, detail in _run_checks(a2, b, deg)]
 
 
 def compute_degrees(a2, b) -> np.ndarray:
-    """Generalized degrees: pairwise row sums plus full 2-interaction mass."""
-    _, _, pair_mass, tri_mass = _arrays(a2, b)
-    deg = pair_mass + tri_mass
-    _raise_first(None, None, deg, _CHECKS[-1:])
+    """Generalized degrees (pairwise row sums plus 2-interaction mass), finite and positive."""
+    deg = _arrays(a2, b)[4]
+    _raise_first(None, None, deg, _CHECKS[-2:])
     return deg
 
 
@@ -355,9 +358,8 @@ def build(a2, b) -> Hypergraph2:
     triple to pairwise mass, or None when the agents' ratios differ or one
     of them is not finite.
     """
-    a2, b, pair_mass, tri_mass = _arrays(a2, b)
+    a2, b, pair_mass, tri_mass, deg = _arrays(a2, b)
     a2 = a2.copy()
-    deg = pair_mass + tri_mass
     _raise_first(a2, b, deg)
     for arr in (a2, deg):
         arr.setflags(write=False)

@@ -248,6 +248,46 @@ def test_sweep_is_independent_of_the_chunk_split(inst5, tanh, monkeypatch):
     assert runs[0][0] == runs[1][0]
 
 
+def test_a_sweep_runs_lapack_only_inside_chunk_ranges(inst5, tanh, monkeypatch):
+    # every solve, eigensolve and determinant sign of the default inst5
+    # sweep, the eigensolves of its 22 search misses included, runs inside
+    # a _run_chunks range, with BLAS pinned where it can be
+    with equilibria._blas_pin as pinned:
+        pass
+    inside, calls, missed = threading.local(), [], []
+    run_chunks, classify_rows = equilibria._run_chunks, bifurcation._classify_rows
+
+    def flagged_chunks(run, sizes, n):
+        def flagged(a, b):
+            inside.on = True
+            try:
+                return run(a, b)
+            finally:
+                inside.on = False
+        return run_chunks(flagged, sizes, n)
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, getattr(inside, "on", False),
+                          not pinned or equilibria._blas_pin._depth > 0))
+            return fn(*args, **kwargs)
+        return call
+
+    def counted(g, psi, levels, X, residuals):
+        missed.append(len(X))
+        return classify_rows(g, psi, levels, X, residuals)
+
+    for module in (equilibria, bifurcation):
+        monkeypatch.setattr(module, "_run_chunks", flagged_chunks)
+    monkeypatch.setattr(bifurcation, "_classify_rows", counted)
+    for name in ("solve", "eigvals", "eigvalsh", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    sweep(inst5, tanh)
+    assert sum(missed) == 22
+    assert {name for name, _, _ in calls} >= {"solve", "eigvals", "eigvalsh"}
+    assert [call for call in calls if not all(call[1:])] == []
+
+
 def test_two_arrivals_at_one_search_miss_make_one_record(inst5, tanh):
     # the upper consensus record of 1.7 listed twice, and 1.75 holding only
     # its origin: both steps arrive at the same missing state in one round;

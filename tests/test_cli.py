@@ -103,6 +103,19 @@ def test_validate_names_the_header_line_of_a_ratio_mismatch(tmp_path, inst5, alp
     assert not (out / "validate.manifest").exists()
 
 
+def test_validate_names_a_degree_past_the_float_range(tmp_path, capsys):
+    # every weight is finite, but agent 0's degree, 2 + 2 * 1.5e308, is not
+    a2, b = np.ones((3, 3)) - np.eye(3), np.zeros((3, 3, 3))
+    b[0, 1, 2] = b[0, 2, 1] = 1.5e308
+    rows = [" ".join("%.17g" % w for w in row) for row in [*a2, *b.reshape(9, 3)]]
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(["n=3 alpha=none", "[A2]", *rows[:3], "[B1]", *rows[3:6],
+                              "[B2]", *rows[6:9], "[B3]", *rows[9:]]) + "\n")
+    assert run(["validate", str(bad), "--out-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL finite degrees: agent 0" in out and "ok   positive degrees" in out
+
+
 def test_validate_missing_file(tmp_path):
     rc = run(["validate", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)])
     assert rc == 1

@@ -716,6 +716,51 @@ def test_blas_pin_nests_and_restores_the_callers_thread_count():
         put(before)
 
 
+def per_row_solve(j, rhs):
+    """One stacked solve, or, when some matrix is singular, one solve per row,
+    a singular row left 0: the rule ``_solve_rows`` must reproduce."""
+    try:
+        return np.linalg.solve(j, rhs[..., None])[..., 0], np.ones(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.zeros_like(rhs), np.ones(len(rhs), dtype=bool)
+        for r in range(len(rhs)):
+            try:
+                x[r] = np.linalg.solve(j[r], rhs[r])
+            except np.linalg.LinAlgError:
+                solved[r] = False
+        return x, solved
+
+
+def test_singular_rows_solve_as_the_per_row_loop():
+    # stacks of 1 to 8 rows at n = 2 to 8, regular matrices mixed with
+    # exactly singular ones (a zero row, a zero column, a repeated row) and
+    # products u @ v of rank n - 1: bitwise the per-row loop, solved mask
+    # included, and no warning
+    rng = np.random.default_rng(2031)
+    stacks_with_singular_rows = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2000):
+            n, m = rng.integers(2, 9), rng.integers(1, 9)
+            j, rhs = rng.standard_normal((m, n, n)), rng.standard_normal((m, n))
+            for r, kind in enumerate(rng.integers(0, 6, m)):
+                a, b = rng.choice(n, 2, replace=False)
+                if kind == 1:
+                    j[r, a] = 0.0
+                elif kind == 2:
+                    j[r, :, a] = 0.0
+                elif kind == 3:
+                    j[r, a] = j[r, b]
+                elif kind == 4:
+                    j[r] = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, n))
+            x, solved = equilibria._solve_rows(j, rhs)
+            want, want_solved = per_row_solve(j, rhs)
+            assert np.array_equal(solved, want_solved)
+            assert x.tobytes() == want.tobytes()
+            stacks_with_singular_rows += not solved.all()
+    assert stacks_with_singular_rows > 1000
+
+
 _BUMP = lambda x: np.exp(-4.0 * np.asarray(x, dtype=float) ** 2)
 UNSUITABLE = {
     # x / (1 + |x|): odd, unit slope, increasing and s-shaped, but only 0.91 at 10

@@ -183,6 +183,10 @@ def test_build_rejects_non_finite_weights(bad):
         by_name = {r.name: r for r in hd.validation_report(*arrays)}
         assert not by_name["finite weights"].passed
         assert "first offender" in by_name["finite weights"].detail
+    # +inf and -inf in one row sum to nan, without a warning
+    a2[0, 2] = a2[2, 0] = -np.inf
+    with pytest.raises(NonFiniteWeightError, match=r"pairwise entry \(0, 1\)"):
+        hd.build(a2, np.zeros((4, 4, 4)))
 
 
 def test_validation_report_lists_all_failures():
@@ -194,7 +198,7 @@ def test_validation_report_lists_all_failures():
     assert not by_name["pairwise connectivity"].passed
     assert by_name["pairwise symmetry"].passed
     # every check ran, pass or fail (finite weights first)
-    assert len(report) == 9
+    assert len(report) == 10
     assert report[0].name == "finite weights" and report[0].passed
 
 
@@ -216,9 +220,11 @@ def _two_pairs():
 
 
 # One input per structural check, in report order: the check it fails, the
-# error with its exact message, and the report's exact detail. No negative-free
-# connected instance has a zero degree, so the last input also fails
-# 2-interaction nonnegativity, and its degree error comes from compute_degrees.
+# error with its exact message, and the report's exact detail. An infinite
+# weight makes an infinite degree, so the first input also fails finite
+# degrees. No negative-free connected instance has a zero degree, so the last
+# input also fails 2-interaction nonnegativity, and its degree error comes
+# from compute_degrees.
 _STRUCTURAL_DEFECTS = [
     (_defect(pairs=[((1, 2), np.inf), ((2, 1), np.inf)]), "finite weights",
      NonFiniteWeightError, "weights must be finite: pairwise entry (1, 2) is not",
@@ -244,6 +250,8 @@ _STRUCTURAL_DEFECTS = [
     (_defect(triples=[((3, 0, 2), -1.0), ((3, 2, 0), -1.0)]), "2-interaction nonnegativity",
      NegativeWeightError, "2-interaction weights must be nonnegative: agent 3, entry (0,2)",
      "first offender agent 3, pair (0,2)"),
+    (_defect(triples=[((2, 0, 1), 1.5e308), ((2, 1, 0), 1.5e308)]), "finite degrees",
+     NonFiniteWeightError, "agent 2's generalized degree overflows the float range", "agent 2"),
     (_defect(triples=[((1, 0, 3), -1.5), ((1, 3, 0), -1.5)]), "positive degrees",
      ZeroDegreeError, "agent 1 has generalized degree 0", "agent 1"),
 ]
@@ -258,7 +266,47 @@ def test_each_structural_check_names_its_first_offender(arrays, name, error, mes
     assert str(info.value) == message
     failed = {r.name: r.detail for r in hd.validation_report(*arrays) if not r.passed}
     assert failed[name] == detail
-    assert set(failed) == ({name, "2-interaction nonnegativity"} if degree_only else {name})
+    also = {"finite weights": "finite degrees", "positive degrees": "2-interaction nonnegativity"}
+    assert set(failed) == {name, also.get(name, name)}
+
+
+# A triangle whose agent 0 puts 1.5e308 on both entries of its one pair:
+# every weight is finite, but agent 0's degree, their sum, is not
+_OVERFLOW_TEXT = """n=3 alpha=none
+[A2]
+0 1 1
+1 0 1
+1 1 0
+[B1]
+0 0 0
+0 0 1.5e308
+0 1.5e308 0
+[B2]
+0 0 0
+0 0 0
+0 0 0
+[B3]
+0 0 0
+0 0 0
+0 0 0
+"""
+
+
+def test_a_degree_past_the_float_range_is_refused():
+    # refused by name, without the overflow warnings of the degree sum or
+    # of the doubled triple weights
+    a2, b, _ = parse_arrays(_OVERFLOW_TEXT)
+    assert b[0, 1, 2] == b[0, 2, 1] == 1.5e308 and not b[1:].any()
+    message = "agent 0's generalized degree overflows the float range"
+    for make in (lambda: hd.build(a2, b), lambda: compute_degrees(a2, b),
+                 lambda: hd.from_text(_OVERFLOW_TEXT)):
+        with pytest.raises(NonFiniteWeightError) as info:
+            make()
+        assert str(info.value) == message
+    report = hd.validation_report(a2, b)
+    assert [(r.name, r.detail) for r in report if not r.passed] == [("finite degrees", "agent 0")]
+    names = [r.name for r in report]
+    assert names.index("finite degrees") + 1 == names.index("positive degrees")
 
 
 def test_first_is_the_first_argwhere_row():
